@@ -25,7 +25,6 @@ AccelConfig PaperScaleAccel() {
   config.max_compute_rows = 1024;
   config.spad_rows = 2048;
   config.acc_rows = 1024;
-  config.dram_bytes = 8 << 20;
   return config;
 }
 

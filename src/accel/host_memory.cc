@@ -7,7 +7,11 @@ namespace saffire {
 HostMemory::HostMemory(std::int64_t size_bytes) {
   SAFFIRE_CHECK_MSG(size_bytes > 0 && size_bytes <= (std::int64_t{1} << 32),
                     "size_bytes=" << size_bytes);
-  bytes_.assign(static_cast<std::size_t>(size_bytes), 0);
+  bytes_.reset(static_cast<std::uint8_t*>(
+      std::calloc(static_cast<std::size_t>(size_bytes), 1)));
+  SAFFIRE_CHECK_MSG(bytes_ != nullptr,
+                    "cannot allocate " << size_bytes << " bytes of DRAM");
+  size_ = size_bytes;
 }
 
 void HostMemory::CheckRange(std::int64_t addr, std::int64_t bytes) const {

@@ -4,7 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 #include "tensor/tensor.h"
 
@@ -14,7 +15,7 @@ class HostMemory {
  public:
   explicit HostMemory(std::int64_t size_bytes);
 
-  std::int64_t size() const { return static_cast<std::int64_t>(bytes_.size()); }
+  std::int64_t size() const { return size_; }
 
   std::int8_t ReadInt8(std::int64_t addr) const;
   void WriteInt8(std::int64_t addr, std::int8_t value);
@@ -36,9 +37,17 @@ class HostMemory {
   void FreeAll() { next_free_ = 0; }
 
  private:
+  struct FreeBytes {
+    void operator()(std::uint8_t* bytes) const { std::free(bytes); }
+  };
+
   void CheckRange(std::int64_t addr, std::int64_t bytes) const;
 
-  std::vector<std::uint8_t> bytes_;
+  // calloc'd rather than zero-filled up front: a block this large comes from
+  // a fresh anonymous mapping, so each page is faulted in, already zero, only
+  // when first touched. A default 64 MiB DRAM costs what a run stages in it.
+  std::unique_ptr<std::uint8_t[], FreeBytes> bytes_;
+  std::int64_t size_ = 0;
   std::int64_t next_free_ = 0;
 };
 

@@ -61,9 +61,16 @@ class JsonParser {
     SkipWhitespace();
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == JsonValue::kMaxDepth) {
+          ThrowParse(pos_, "nesting deeper than " +
+                               std::to_string(JsonValue::kMaxDepth));
+        }
+        ++depth_;
+        JsonValue value = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': {
         JsonValue value;
         value.kind_ = JsonValue::Kind::kString;
@@ -243,6 +250,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects currently open
 };
 
 JsonValue JsonValue::Parse(std::string_view text) {

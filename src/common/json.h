@@ -29,8 +29,13 @@ class JsonValue {
     kObject,
   };
 
+  // Deepest nesting of arrays and objects that Parse accepts. Specs,
+  // checkpoints and cache entries nest a few levels; the cap keeps hostile
+  // input from overflowing the stack of the recursive-descent parser.
+  static constexpr int kMaxDepth = 256;
+
   // Parses one complete JSON document; throws std::invalid_argument on
-  // malformed input or trailing garbage.
+  // malformed input, nesting deeper than kMaxDepth, or trailing garbage.
   static JsonValue Parse(std::string_view text);
 
   Kind kind() const { return kind_; }

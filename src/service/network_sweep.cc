@@ -130,7 +130,8 @@ void NetworkSweepSpec::Validate() const {
     }
   }
   // Fault bit positions are validated per FaultSpec against the signal's
-  // width when each campaign's faults are built, same as SweepSpec.
+  // width when each experiment's fault is built, outside the retry ladder,
+  // so an out-of-width bit aborts the sweep instead of quarantining it.
 }
 
 std::string NetworkSweepSpec::ToJson() const {

@@ -6,6 +6,7 @@
 
 #include "accel/config_json.h"
 #include "common/json.h"
+#include "systolic/signals.h"
 
 namespace saffire {
 
@@ -80,9 +81,14 @@ void SweepSpec::Validate() const {
   SAFFIRE_CHECK_MSG(shards >= 1 && shards <= 4096, "shards=" << shards);
   SAFFIRE_CHECK_MSG(max_sites >= 0, "max_sites=" << max_sites);
   for (const WorkloadSpec& workload : workloads) workload.Validate();
-  // Bit positions are validated against each signal's width when the
-  // campaign's faults are planned (FaultSpec::Validate) — widths differ per
-  // signal, so a sweep-level check would be either too strict or too loose.
+  for (const MacSignal signal : signals) {
+    const int width = SignalWidth(signal, accel.array);
+    for (const int bit : bits) {
+      SAFFIRE_CHECK_MSG(bit >= 0 && bit < width,
+                        "bit " << bit << " outside " << ToString(signal)
+                               << " width " << width);
+    }
+  }
 }
 
 std::string SweepSpec::ToJson() const {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "tensor/gemm.h"
@@ -65,8 +67,13 @@ TEST(DriverPlanTest, Paper112GemmIs7x7Tiles) {
 
 struct GemmCase {
   Dataflow dataflow;
+  // gtest prints the raw bytes of each case into its test name, and copies
+  // cases member by member. Spelling the padding after `dataflow` out as a
+  // zeroed member keeps heap and stack garbage out of those names.
+  std::uint8_t zero_fill[7] = {};
   std::int64_t m, k, n;
 };
+static_assert(std::has_unique_object_representations_v<GemmCase>);
 
 class DriverGemmTest : public ::testing::TestWithParam<GemmCase> {};
 
@@ -84,16 +91,24 @@ TEST_P(DriverGemmTest, TiledGemmMatchesReference) {
 
 std::vector<GemmCase> GemmCases() {
   std::vector<GemmCase> cases;
+  const auto add = [&cases](Dataflow dataflow, std::int64_t m,
+                            std::int64_t k, std::int64_t n) {
+    GemmCase& tc = cases.emplace_back();
+    tc.dataflow = dataflow;
+    tc.m = m;
+    tc.k = k;
+    tc.n = n;
+  };
   for (const Dataflow dataflow :
        {Dataflow::kWeightStationary, Dataflow::kOutputStationary}) {
-    cases.push_back({dataflow, 16, 16, 16});   // untiled (Table I)
-    cases.push_back({dataflow, 112, 112, 112}); // RQ3 tiled GEMM
-    cases.push_back({dataflow, 1, 1, 1});
-    cases.push_back({dataflow, 17, 16, 16});   // ragged M
-    cases.push_back({dataflow, 16, 17, 16});   // ragged K
-    cases.push_back({dataflow, 16, 16, 17});   // ragged N
-    cases.push_back({dataflow, 33, 45, 29});   // ragged everywhere
-    cases.push_back({dataflow, 300, 16, 16});  // M beyond max_compute_rows
+    add(dataflow, 16, 16, 16);     // untiled (Table I)
+    add(dataflow, 112, 112, 112);  // RQ3 tiled GEMM
+    add(dataflow, 1, 1, 1);
+    add(dataflow, 17, 16, 16);   // ragged M
+    add(dataflow, 16, 17, 16);   // ragged K
+    add(dataflow, 16, 16, 17);   // ragged N
+    add(dataflow, 33, 45, 29);   // ragged everywhere
+    add(dataflow, 300, 16, 16);  // M beyond max_compute_rows
   }
   return cases;
 }

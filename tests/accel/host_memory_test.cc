@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "accel/controller.h"
+
 namespace saffire {
 namespace {
 
@@ -65,6 +67,26 @@ TEST(HostMemoryTest, AllocatorRejectsBadArgs) {
   HostMemory mem(256);
   EXPECT_THROW(mem.Allocate(0), std::invalid_argument);
   EXPECT_THROW(mem.Allocate(8, 3), std::invalid_argument);
+}
+
+// The storage is taken lazily from the OS, so untouched bytes must still
+// read as zero anywhere in a full default-size DRAM.
+TEST(HostMemoryTest, NeverWrittenBytesReadZero) {
+  const std::int64_t size = AccelConfig{}.dram_bytes;
+  HostMemory mem(size);
+  EXPECT_EQ(mem.size(), size);
+  for (const std::int64_t addr : {std::int64_t{0}, size / 2, size - 4}) {
+    EXPECT_EQ(mem.ReadInt8(addr), 0) << addr;
+    EXPECT_EQ(mem.ReadInt32(addr), 0) << addr;
+  }
+  EXPECT_EQ(mem.ReadInt8(size - 1), 0);
+
+  mem.WriteInt32(mem.Allocate(4), -1);
+  mem.FreeAll();
+  const std::int64_t fresh = mem.Allocate(256);
+  EXPECT_EQ(mem.ReadInt32(fresh + 4), 0);
+  EXPECT_EQ(mem.ReadInt8(fresh + 255), 0);
+  EXPECT_EQ(mem.size(), size);
 }
 
 TEST(HostMemoryTest, RejectsBadSizes) {

@@ -206,14 +206,12 @@ TEST(SampleAdderFaultTest, StaysInBoundsAndCoversArray) {
   EXPECT_THROW(SampleAdderFault(config, rng, 8, 40), std::invalid_argument);
 }
 
-// The deprecated loose-parameter wrappers must stay behaviourally identical
-// to the spec-based API until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedWrapperTest, MatchesSpecBasedApi) {
-  const auto config = TestConfig();
+// An injector built from just the accelerator and dataflow, given the
+// perturbation per call, behaves exactly like one whose spec carries that
+// perturbation; the perturbation-free entry points ignore it entirely.
+TEST(NetworkFiInjectTest, PerCallPerturbMatchesSpecPerturb) {
   const auto workload = Gemm16x16();
-  FiRunner runner(config);
+  FiRunner runner(TestConfig());
   const auto golden =
       runner.RunGolden(workload, Dataflow::kWeightStationary).output;
   const FaultSpec fault =
@@ -222,25 +220,24 @@ TEST(DeprecatedWrapperTest, MatchesSpecBasedApi) {
   perturb.mode = PerturbMode::kSetBit;
   perturb.bit = 8;
 
+  const NetworkFi plain(TestSpec(Dataflow::kWeightStationary));
   AppFiSpec spec = TestSpec(Dataflow::kWeightStationary);
   spec.perturb = perturb;
   const NetworkFi injector(spec);
 
-  EXPECT_EQ(InjectPattern(golden, workload, config,
-                          Dataflow::kWeightStationary, fault, perturb),
+  EXPECT_EQ(plain.Inject(golden, workload, fault, perturb),
             injector.Inject(golden, workload, fault));
-  EXPECT_EQ(EmulateExtractionFault(golden, workload, config,
-                                   Dataflow::kWeightStationary, fault),
+  EXPECT_EQ(plain.EmulateExtraction(golden, workload, fault),
             injector.EmulateExtraction(golden, workload, fault));
-  const CrossValidation old_result =
-      CrossValidate(workload, config, Dataflow::kWeightStationary, fault);
-  const CrossValidation new_result = injector.CrossValidate(workload, fault);
-  EXPECT_EQ(old_result.coords_match, new_result.coords_match);
-  EXPECT_EQ(old_result.values_match, new_result.values_match);
-  EXPECT_EQ(old_result.predicted_count, new_result.predicted_count);
-  EXPECT_EQ(old_result.observed_count, new_result.observed_count);
+  const CrossValidation plain_result = plain.CrossValidate(workload, fault);
+  const CrossValidation result = injector.CrossValidate(workload, fault);
+  EXPECT_TRUE(result.coords_match);
+  EXPECT_TRUE(result.values_match);
+  EXPECT_EQ(plain_result.coords_match, result.coords_match);
+  EXPECT_EQ(plain_result.values_match, result.values_match);
+  EXPECT_EQ(plain_result.predicted_count, result.predicted_count);
+  EXPECT_EQ(plain_result.observed_count, result.observed_count);
 }
-#pragma GCC diagnostic pop
 
 // The headline cross-validation: for every Table I workload and dataflow,
 // the application-level injector reproduces the cycle-accurate faulty

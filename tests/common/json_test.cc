@@ -60,6 +60,34 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_THROW(JsonValue::Parse("1 2"), std::invalid_argument);
 }
 
+TEST(JsonParseTest, NestingDepthIsCapped) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  // 100k unclosed '[' used to recurse until the stack overflowed.
+  try {
+    JsonValue::Parse(std::string(100000, '['));
+    FAIL() << "deep nesting was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than 256 at "
+                                             "offset 256"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(JsonValue::Parse(nested(JsonValue::kMaxDepth + 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(JsonValue::Parse(nested(JsonValue::kMaxDepth)));
+
+  std::string objects;
+  for (int depth = 0; depth < JsonValue::kMaxDepth; ++depth) {
+    objects += "{\"k\":";
+  }
+  objects += "1" + std::string(JsonValue::kMaxDepth, '}');
+  EXPECT_NO_THROW(JsonValue::Parse(objects));
+  EXPECT_THROW(JsonValue::Parse("[" + objects + "]"), std::invalid_argument);
+}
+
 TEST(JsonParseTest, KindMismatchThrows) {
   const JsonValue value = JsonValue::Parse("42");
   EXPECT_THROW(value.AsString(), std::invalid_argument);

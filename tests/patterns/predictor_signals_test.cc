@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "fi/runner.h"
 #include "patterns/predictor.h"
@@ -70,6 +71,10 @@ struct SignalCase {
   int bit;
   Dataflow dataflow;
 };
+
+// gtest prints the param into each test's name. Print the label: the raw
+// bytes start with a pointer, which differs from build to build.
+void PrintTo(const SignalCase& tc, std::ostream* os) { *os << tc.label; }
 
 class SignalDeterminismTest : public ::testing::TestWithParam<SignalCase> {};
 

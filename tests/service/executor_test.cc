@@ -201,9 +201,10 @@ TEST(ExecutorTest, RejectsInvalidOptionsAndPlans) {
 }
 
 TEST(ExecutorTest, PropagatesExperimentErrors) {
-  SweepSpec spec = BaseSpec();
-  spec.bits = {200};  // out of range for every signal width
-  const CampaignPlan plan = BuildCampaignPlan(spec);
+  // Planning rejects an out-of-width bit, so corrupt the built plan to make
+  // every experiment throw.
+  CampaignPlan plan = BuildCampaignPlan(BaseSpec());
+  for (CampaignConfig& campaign : plan.campaigns) campaign.bit = 200;
   NullSink sink;
   EXPECT_THROW(CampaignExecutor::Shared().Run(plan, sink),
                std::invalid_argument);

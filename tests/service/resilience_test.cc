@@ -210,9 +210,10 @@ TEST_F(ResilienceTest, ExhaustedFaultsQuarantineAtTheLadderBottom) {
 }
 
 TEST_F(ResilienceTest, PermanentErrorsQuarantineWithoutRetrying) {
-  SweepSpec spec = BaseSpec();
-  spec.bits = {200};  // out of range for every signal width
-  const CampaignPlan plan = BuildCampaignPlan(spec);
+  // Planning rejects an out-of-width bit, so corrupt the built plan to make
+  // every experiment fail permanently.
+  CampaignPlan plan = BuildCampaignPlan(BaseSpec());
+  for (CampaignConfig& campaign : plan.campaigns) campaign.bit = 200;
 
   RecordingSink sink;
   RunOptions options;

@@ -51,6 +51,31 @@ TEST(SweepSpecTest, ValidateRejectsEmptyAxes) {
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 }
 
+// Every (signal, bit) pair is checked at plan time, so an out-of-width bit
+// is rejected up front instead of quarantining every experiment later.
+TEST(SweepSpecTest, ValidateRejectsBitsOutsideSignalWidth) {
+  SweepSpec spec = BaseSpec();
+  spec.bits = {64};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  EXPECT_THROW(BuildCampaignPlan(spec), std::invalid_argument);
+
+  spec = BaseSpec();
+  spec.signals = {MacSignal::kActForward};
+  spec.bits = {8};  // act_forward is input_bits (8) wide
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  spec.bits = {-1};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  spec.bits = {7};
+  EXPECT_NO_THROW(spec.Validate());
+
+  // One narrow signal among wide ones is enough to reject the sweep.
+  spec = BaseSpec();
+  spec.signals = {MacSignal::kAdderOut, MacSignal::kMulOut};
+  spec.bits = {4, 20};  // mul_out is product_bits (16) wide
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  EXPECT_THROW(ParseSweepSpec(spec.ToJson()), std::invalid_argument);
+}
+
 TEST(CampaignPlanTest, ExpandsInCanonicalOrder) {
   SweepSpec spec = BaseSpec();
   spec.polarities = {StuckPolarity::kStuckAt1, StuckPolarity::kStuckAt0};
@@ -134,7 +159,7 @@ TEST(SweepSpecTest, JsonRoundTrip) {
   spec.dataflows = {Dataflow::kOutputStationary, Dataflow::kInputStationary};
   spec.signals = {MacSignal::kMulOut, MacSignal::kSouthForward};
   spec.polarities = {StuckPolarity::kStuckAt0};
-  spec.bits = {4, 20};
+  spec.bits = {4, 12};
   spec.kind = FaultKind::kTransientFlip;
   spec.max_sites = 12;
   spec.seed = 99;
