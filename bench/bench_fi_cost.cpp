@@ -12,6 +12,7 @@
 #include "appfi/appfi.h"
 #include "bench_util.h"
 #include "fi/runner.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -208,14 +209,42 @@ void BM_CampaignBatch(benchmark::State& state) {
       iterations);
 }
 
+// The 64-fault batch of the kernel benches: SA1 stuck-at faults on rows
+// 0..15 × columns 0..3, on adder_out bit 8 (width-1 cones) or, when
+// `wide`, on act_forward bit 3 (cones 13–16 columns wide).
+std::vector<FaultSpec> KernelFaults(bool wide) {
+  std::vector<FaultSpec> faults;
+  for (std::int32_t r = 0; r < 16; ++r) {
+    for (std::int32_t c = 0; c < 4; ++c) {
+      FaultSpec fault =
+          StuckAtAdder(PeCoord{r, c}, 8, StuckPolarity::kStuckAt1);
+      if (wide) {
+        fault.signal = MacSignal::kActForward;
+        fault.bit = 3;
+      }
+      faults.push_back(fault);
+    }
+  }
+  return faults;
+}
+
+// Lane-steps the AVX2 narrow-lane kernel has executed so far.
+std::int64_t SimdLanesStepped() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("saffire.simd.lanes_stepped")
+      .value();
+}
+
 // SIMD-kernel isolation: the lane-parallel batch replay alone (no
 // classification, no campaign plumbing) on a 64-fault batch, so the scalar
 // and AVX2 datapaths can be compared directly. range(0) selects the
-// dataflow, range(1) the dispatched backend (0 = scalar, 1 = avx2; the
+// dataflow, range(1) the requested backend (0 = scalar, 1 = avx2; the
 // avx2 rows are skipped on CPUs without it), and range(2) the fault cone:
 // 0 = stuck-at adder faults (width-1 cones, the narrow int32 lane path),
-// 1 = act-forward faults (wide cones, always on the generic path — the
-// SIMD-invariant control).
+// 1 = act-forward faults (13–16 columns wide). LaneGrid sends only width-1
+// lanes to AVX2, so the wide-cone rows run the scalar kernel whichever
+// backend is requested: the label names the kernel that actually ran, and
+// simd_lanes_stepped_per_batch (saffire.simd.lanes_stepped) reads 0 there.
 void BM_BatchLaneKernel(benchmark::State& state) {
   const Dataflow dataflow = DataflowByIndex(static_cast<int>(state.range(0)));
   const SimdMode mode =
@@ -233,58 +262,53 @@ void BM_BatchLaneKernel(benchmark::State& state) {
   GoldenTrace trace;
   const RunResult golden =
       runner.RunGoldenRecorded(workload, dataflow, &trace);
-  std::vector<FaultSpec> faults;
-  for (std::int32_t r = 0; r < 16; ++r) {
-    for (std::int32_t c = 0; c < 4; ++c) {
-      FaultSpec fault = StuckAtAdder(PeCoord{r, c}, 8, StuckPolarity::kStuckAt1);
-      if (wide) {
-        fault.signal = MacSignal::kActForward;
-        fault.bit = 3;
-      }
-      faults.push_back(fault);
-    }
-  }
+  const std::vector<FaultSpec> faults = KernelFaults(wide);
 
   std::uint64_t pe_steps = 0;
+  const std::int64_t simd_before = SimdLanesStepped();
   for (auto _ : state) {
     const std::vector<RunResult> results =
         runner.RunFaultyBatch(workload, dataflow, faults, trace, golden);
     benchmark::DoNotOptimize(results.data());
     for (const RunResult& result : results) pe_steps += result.pe_steps;
   }
+  const std::int64_t simd_stepped = SimdLanesStepped() - simd_before;
   SetSimdMode(SimdMode::kAuto);
-  state.SetLabel(ToString(dataflow) + "/" + ToString(mode) +
+  state.SetLabel(ToString(dataflow) + "/" +
+                 (simd_stepped > 0 ? "avx2" : "scalar") + "-kernel/" +
+                 ToString(mode) + "-requested" +
                  (wide ? "/wide-cone" : "/narrow-cone"));
   state.counters["lanes_per_batch"] =
       benchmark::Counter(static_cast<double>(faults.size()));
+  state.counters["simd_lanes_stepped_per_batch"] = benchmark::Counter(
+      static_cast<double>(simd_stepped) /
+      static_cast<double>(state.iterations()));
   state.counters["pe_steps_per_batch"] = benchmark::Counter(
       static_cast<double>(pe_steps) /
       static_cast<double>(state.iterations()));
 }
 
-// The closed-form predicted engine on the same 64-fault batch: what the
+// The closed-form predicted engine on the same 64-fault batches: what the
 // campaign layer's kPredicted rung pays when the predictor is exact.
+// range(0) selects the dataflow, range(1) the faults as in
+// BM_BatchLaneKernel's range(2): 0 = adder_out, 1 = act_forward.
 void BM_PredictedKernel(benchmark::State& state) {
   const Dataflow dataflow = DataflowByIndex(static_cast<int>(state.range(0)));
+  const bool wide = state.range(1) != 0;
   const WorkloadSpec workload = Gemm16x16();
   const AccelConfig config = PaperAccel();
   FiRunner runner(config);
   GoldenTrace trace;
   const RunResult golden =
       runner.RunGoldenRecorded(workload, dataflow, &trace);
-  std::vector<FaultSpec> faults;
-  for (std::int32_t r = 0; r < 16; ++r) {
-    for (std::int32_t c = 0; c < 4; ++c) {
-      faults.push_back(
-          StuckAtAdder(PeCoord{r, c}, 8, StuckPolarity::kStuckAt1));
-    }
-  }
+  const std::vector<FaultSpec> faults = KernelFaults(wide);
   for (auto _ : state) {
     const std::vector<RunResult> results =
         runner.RunFaultyPredicted(workload, dataflow, faults, trace, golden);
     benchmark::DoNotOptimize(results.data());
   }
-  state.SetLabel(ToString(dataflow) + "/closed-form");
+  state.SetLabel(ToString(dataflow) + "/closed-form" +
+                 (wide ? "/act_forward" : "/adder_out"));
   state.counters["lanes_per_batch"] =
       benchmark::Counter(static_cast<double>(faults.size()));
 }
@@ -347,8 +371,10 @@ BENCHMARK(BM_BatchLaneKernel)
     ->Args({0, 1, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PredictedKernel)
-    ->Args({0})
-    ->Args({1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ArrayStepWithHook);
 BENCHMARK(BM_CampaignBatch)->Unit(benchmark::kMillisecond);

@@ -24,6 +24,23 @@
 // differs from the clean one: each row sees exactly its tile's me data
 // waves plus (steps − me) idle steps whose chain and product values are 0.
 //
+// Activation forward (kActForward) at PE (R, C): the stuck bit corrupts
+// only the activation PE (R, C) registers east — its own MAC consumes the
+// clean act_in — and every PE east of it in row R forwards the forced value
+// unchanged, so column C and everything west of it stay golden. An east
+// column j > C meets the forced activation only in its row-R product:
+//   WS: collected wave i of column j becomes wrap(g_j(i) + d_j(i)) with
+//       d_j(i) = wrap_p(force(a(i,R))·w(R,j)) − wrap_p(a(i,R)·w(R,j));
+//   OS: only accumulator (R, j) changes, and it drains
+//       wrap(Σ_kk wrap_p(force(a(R,kk))·b(kk,j))) — for R < me only.
+// Forced products at idle steps either meet a zero weight (OS) or join
+// partial sums that are never collected (WS). Neither formula depends on
+// C, so the faults sharing a row and a forcing share one set of faulty
+// columns per (mi, ni) block, and each copies out the columns east of its
+// own. Activations count every step at which the forced value differs from
+// act_in = (t ≥ C ? west stimulus of step t − C : 0): the C pre-stream
+// steps plus the row's whole west stimulus, idle waves included.
+//
 // Output-stationary: the fault corrupts only the in-place accumulator of
 // PE (R, c), whose per-step inputs are known analytically (the west value
 // a(R, kk) and the north weight b(kk, c) meet at step t = kk + R + c), so
@@ -36,7 +53,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "fi/cone.h"
 #include "fi/runner.h"
@@ -72,6 +88,22 @@ struct ForceSpec {
   std::int64_t operator()(std::int64_t v) const {
     return SxWide((v & and_mask) | or_mask, sx_shift);
   }
+};
+
+// The kActForward faults of one fault row and one forcing: they differ only
+// in the column where the corruption starts, so their faulty columns are
+// computed once, for every column east of the westmost member.
+struct ActForwardRow {
+  std::int64_t row = 0;
+  ForceSpec force;
+  std::int64_t lo = 0;  // westmost member column; columns j > lo are tracked
+  // Per-(mi, ni) faulty outputs of column j < ne at index
+  // (j − lo − 1) · me + i (WS) or j − lo − 1 (OS, row `row` only),
+  // accumulated across ki.
+  std::vector<std::int32_t> acc;
+  // Per tile: mismatch[s] counts the stimulus steps s' < s of this row at
+  // which force(x) != x.
+  std::vector<std::uint64_t> mismatch;
 };
 
 // Folds one tile's faulty collected value (golden chain output + delta,
@@ -122,21 +154,32 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
   // Lower each fault, rejecting anything outside the provably-exact set.
   std::vector<ForceSpec> forces(faults.size());
   std::vector<std::uint64_t> activations(faults.size(), 0);
+  std::vector<std::int32_t> cone_width(faults.size(), 1);
+  // kActForward faults, grouped by (row, forcing); act_row_of[l] indexes
+  // act_rows for those faults.
+  std::vector<ActForwardRow> act_rows;
+  std::vector<std::size_t> act_row_of(faults.size(), 0);
   for (std::size_t l = 0; l < faults.size(); ++l) {
     const FaultSpec& fault = faults[l];
     fault.Validate(array);
     SAFFIRE_CHECK_MSG(fault.kind == FaultKind::kStuckAt,
                       "predicted engine covers permanent stuck-at faults "
                       "only; transient faults are batch residue");
+    const bool act_forward = fault.signal == MacSignal::kActForward;
     SAFFIRE_CHECK_MSG(fault.signal == MacSignal::kWeightOperand ||
                           fault.signal == MacSignal::kMulOut ||
-                          fault.signal == MacSignal::kAdderOut,
-                      "predicted engine covers PE-local signals only, got "
+                          fault.signal == MacSignal::kAdderOut || act_forward,
+                      "predicted engine covers PE-local signals and "
+                      "act_forward only, got "
                           << ToString(fault.signal));
     const ColumnCone cone =
         FaultCone(std::span<const FaultSpec>(&fault, 1), lowered, array);
-    SAFFIRE_CHECK_MSG(cone.width() == 1 && cone.lo == fault.pe.col,
-                      "PE-local fault must cone to its own column");
+    SAFFIRE_CHECK_MSG(
+        cone.lo == fault.pe.col &&
+            cone.hi == (act_forward ? array.cols - 1 : fault.pe.col),
+        "fault must cone to its own column (and east of it for "
+        "act_forward)");
+    cone_width[l] = cone.width();
     const std::int64_t bit = std::int64_t{1} << fault.bit;
     if (fault.polarity == StuckPolarity::kStuckAt0) {
       forces[l].and_mask = ~bit;
@@ -144,6 +187,19 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
       forces[l].or_mask = bit;
     }
     forces[l].sx_shift = 64 - SignalWidth(fault.signal, array);
+    if (!act_forward) continue;
+    const auto same_row = [&](const ActForwardRow& group) {
+      return group.row == fault.pe.row &&
+             group.force.and_mask == forces[l].and_mask &&
+             group.force.or_mask == forces[l].or_mask;
+    };
+    auto it = std::find_if(act_rows.begin(), act_rows.end(), same_row);
+    if (it == act_rows.end()) {
+      act_rows.push_back({fault.pe.row, forces[l], fault.pe.col, {}, {}});
+      it = act_rows.end() - 1;
+    }
+    it->lo = std::min<std::int64_t>(it->lo, fault.pe.col);
+    act_row_of[l] = static_cast<std::size_t>(it - act_rows.begin());
   }
 
   std::vector<RunResult> results(faults.size());
@@ -153,7 +209,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
   }
 
   SAFFIRE_SPAN("fi.predict.closed_form");
-  const int input_bits = array.input_bits;
+  const int sx_in = 64 - array.input_bits;
   const int sx_prod = 64 - array.product_bits();
   const int sx_acc = 64 - array.acc_bits;
   const auto rows = static_cast<std::int64_t>(array.rows);
@@ -168,6 +224,10 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
   // every fault in that column (g[r * me + i]); rebuilt lazily per tile.
   std::vector<std::vector<std::int64_t>> col_chain(
       static_cast<std::size_t>(array.cols));
+  // One kActForward group's clean and forced row-R activations per tile,
+  // indexed by wave (WS) or reduction step (OS).
+  std::vector<std::int64_t> row_act;
+  std::vector<std::int64_t> row_forced;
 
   for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
     const std::int64_t m0 = grid.RowStart(mi);
@@ -177,6 +237,11 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
       const std::int64_t ne = grid.TileCols(ni);
       acc_ws.assign(ws ? faults.size() * static_cast<std::size_t>(me) : 0, 0);
       acc_os.assign(ws ? 0 : faults.size(), 0);
+      for (ActForwardRow& group : act_rows) {
+        const auto width = static_cast<std::size_t>(
+            std::max<std::int64_t>(ne - group.lo - 1, 0));
+        group.acc.assign(ws ? width * static_cast<std::size_t>(me) : width, 0);
+      }
       for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
         const std::int64_t k0 = grid.DepthStart(ki);
         const std::int64_t ke = grid.TileDepth(ki);
@@ -192,10 +257,35 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
         const Int8Tensor a_blk = ExtractTilePadded(a, m0, k0, me, ke, me, ke);
         const Int8Tensor b_blk = ExtractTilePadded(b, k0, n0, ke, ne, ke, ne);
 
+        // The golden chain of column c, built on first use per tile and
+        // shared by every fault that reads it.
+        for (auto& chain : col_chain) chain.clear();
+        const auto golden_chain = [&](std::int64_t c) {
+          std::vector<std::int64_t>& chain =
+              col_chain[static_cast<std::size_t>(c)];
+          if (chain.empty()) {
+            chain.assign(static_cast<std::size_t>(rows * me), 0);
+            for (std::int64_t i = 0; i < me; ++i) {
+              std::int64_t g = 0;
+              for (std::int64_t r = 0; r < rows; ++r) {
+                if (r < ke) {
+                  const std::int64_t w_rc =
+                      (c < ne) ? SxWide(b_blk(r, c), sx_in) : 0;
+                  const std::int64_t mul = SxWide(
+                      SxWide(a_blk(i, r), sx_in) * w_rc, sx_prod);
+                  g = SxWide(g + mul, sx_acc);
+                }
+                chain[static_cast<std::size_t>(r * me + i)] = g;
+              }
+            }
+          }
+          return chain.data();
+        };
+
         if (ws) {
-          for (auto& chain : col_chain) chain.clear();
           for (std::size_t l = 0; l < faults.size(); ++l) {
             const FaultSpec& fault = faults[l];
+            if (fault.signal == MacSignal::kActForward) continue;
             const ForceSpec& force = forces[l];
             const std::int64_t c = fault.pe.col;
             const std::int64_t rf = fault.pe.row;
@@ -203,31 +293,13 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
             // exactly like the scheduler's cleared preload).
             const std::int64_t w_val =
                 (rf < ke && c < ne)
-                    ? SignExtend(b_blk(rf, c), input_bits)
+                    ? SxWide(b_blk(rf, c), sx_in)
                     : 0;
-            // The golden chain for this fault column, shared per tile.
-            std::vector<std::int64_t>& chain =
-                col_chain[static_cast<std::size_t>(c)];
-            if (chain.empty()) {
-              chain.assign(static_cast<std::size_t>(rows * me), 0);
-              for (std::int64_t i = 0; i < me; ++i) {
-                std::int64_t g = 0;
-                for (std::int64_t r = 0; r < rows; ++r) {
-                  if (r < ke) {
-                    const std::int64_t w_rc =
-                        (c < ne) ? SignExtend(b_blk(r, c), input_bits) : 0;
-                    const std::int64_t mul = SxWide(
-                        SignExtend(a_blk(i, r), input_bits) * w_rc, sx_prod);
-                    g = SxWide(g + mul, sx_acc);
-                  }
-                  chain[static_cast<std::size_t>(r * me + i)] = g;
-                }
-              }
-            }
+            const std::int64_t* chain = golden_chain(c);
             const std::int64_t* g_fault =
-                chain.data() + static_cast<std::size_t>(rf * me);
+                chain + static_cast<std::size_t>(rf * me);
             const std::int64_t* g_out =
-                chain.data() + static_cast<std::size_t>((rows - 1) * me);
+                chain + static_cast<std::size_t>((rows - 1) * me);
 
             std::int32_t* cell = acc_ws.data() + l * static_cast<std::size_t>(me);
             std::uint64_t activ = 0;
@@ -239,7 +311,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
                          static_cast<std::uint64_t>(w_forced != w_val);
                 for (std::int64_t i = 0; i < me; ++i) {
                   const std::int64_t a_in =
-                      rf < ke ? SignExtend(a_blk(i, rf), input_bits) : 0;
+                      rf < ke ? SxWide(a_blk(i, rf), sx_in) : 0;
                   const std::int64_t d =
                       SxWide(a_in * w_forced, sx_prod) -
                       SxWide(a_in * w_val, sx_prod);
@@ -253,7 +325,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
                          static_cast<std::uint64_t>(idle_forced != 0);
                 for (std::int64_t i = 0; i < me; ++i) {
                   const std::int64_t a_in =
-                      rf < ke ? SignExtend(a_blk(i, rf), input_bits) : 0;
+                      rf < ke ? SxWide(a_blk(i, rf), sx_in) : 0;
                   const std::int64_t mul = SxWide(a_in * w_val, sx_prod);
                   const std::int64_t forced = force(mul);
                   activ += static_cast<std::uint64_t>(forced != mul);
@@ -263,7 +335,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
                 }
                 break;
               }
-              default: {  // kAdderOut (the constructor rejected the rest)
+              default: {  // kAdderOut (the lowering loop rejected the rest)
                 const std::int64_t idle_forced = force(0);
                 activ += static_cast<std::uint64_t>(steps - me) *
                          static_cast<std::uint64_t>(idle_forced != 0);
@@ -283,6 +355,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
         } else {
           for (std::size_t l = 0; l < faults.size(); ++l) {
             const FaultSpec& fault = faults[l];
+            if (fault.signal == MacSignal::kActForward) continue;
             const ForceSpec& force = forces[l];
             const std::int64_t c = fault.pe.col;
             const std::int64_t rf = fault.pe.row;
@@ -294,10 +367,10 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
               const bool valid = kk >= 0 && kk < ke;
               const std::int64_t a_in =
                   (rf < me && valid)
-                      ? SignExtend(a_blk(rf, kk), input_bits)
+                      ? SxWide(a_blk(rf, kk), sx_in)
                       : 0;
               std::int64_t wop =
-                  (in_col && valid) ? SignExtend(b_blk(kk, c), input_bits)
+                  (in_col && valid) ? SxWide(b_blk(kk, c), sx_in)
                                     : 0;
               if (fault.signal == MacSignal::kWeightOperand) {
                 const std::int64_t forced = force(wop);
@@ -330,6 +403,80 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
           }
         }
 
+        // kActForward: each (row, forcing) group's faulty east columns.
+        for (ActForwardRow& group : act_rows) {
+          const std::int64_t rf = group.row;
+          // Row rf's west stimulus is row_act[s − rf] at stream step s for
+          // s − rf < len, and 0 elsewhere — exactly as the schedulers gate
+          // it (lane_grid.cc), including the zero rows past the tile.
+          const std::int64_t len = ws ? me : ke;
+          const bool live_row = ws ? rf < ke : rf < me;
+          row_act.resize(static_cast<std::size_t>(len));
+          row_forced.resize(static_cast<std::size_t>(len));
+          for (std::int64_t x = 0; x < len; ++x) {
+            const std::int64_t a_in =
+                live_row ? SxWide(ws ? a_blk(x, rf) : a_blk(rf, x), sx_in)
+                         : 0;
+            row_act[static_cast<std::size_t>(x)] = a_in;
+            row_forced[static_cast<std::size_t>(x)] = group.force(a_in);
+          }
+          const auto zero_mismatch =
+              static_cast<std::uint64_t>(group.force(0) != 0);
+          group.mismatch.assign(static_cast<std::size_t>(steps) + 1, 0);
+          for (std::int64_t s = 0; s < steps; ++s) {
+            const std::int64_t x = s - rf;
+            const std::uint64_t mismatch =
+                x >= 0 && x < len
+                    ? static_cast<std::uint64_t>(
+                          row_forced[static_cast<std::size_t>(x)] !=
+                          row_act[static_cast<std::size_t>(x)])
+                    : zero_mismatch;
+            group.mismatch[static_cast<std::size_t>(s) + 1] =
+                group.mismatch[static_cast<std::size_t>(s)] + mismatch;
+          }
+          if (ws) {
+            for (std::int64_t j = group.lo + 1; j < ne; ++j) {
+              const std::int64_t w = rf < ke ? SxWide(b_blk(rf, j), sx_in) : 0;
+              const std::int64_t* g_out =
+                  golden_chain(j) + static_cast<std::size_t>((rows - 1) * me);
+              std::int32_t* cell =
+                  group.acc.data() +
+                  static_cast<std::size_t>((j - group.lo - 1) * me);
+              for (std::int64_t i = 0; i < me; ++i) {
+                const auto x = static_cast<std::size_t>(i);
+                const std::int64_t d = SxWide(row_forced[x] * w, sx_prod) -
+                                       SxWide(row_act[x] * w, sx_prod);
+                cell[i] = Accumulate(cell[i], g_out[i] + d, ki, sx_acc);
+              }
+            }
+          } else if (live_row) {
+            for (std::int64_t j = group.lo + 1; j < ne; ++j) {
+              std::int64_t acc = 0;
+              for (std::int64_t kk = 0; kk < ke; ++kk) {
+                const std::int64_t w = SxWide(b_blk(kk, j), sx_in);
+                acc = SxWide(
+                    acc + SxWide(row_forced[static_cast<std::size_t>(kk)] * w,
+                                 sx_prod),
+                    sx_acc);
+              }
+              std::int32_t& cell =
+                  group.acc[static_cast<std::size_t>(j - group.lo - 1)];
+              cell = Accumulate(cell, acc, ki, sx_acc);
+            }
+          }
+        }
+        for (std::size_t l = 0; l < faults.size(); ++l) {
+          if (faults[l].signal != MacSignal::kActForward) continue;
+          // act_in is 0 for the C steps before the stream reaches column C,
+          // then the west stimulus of step t − C.
+          const ActForwardRow& group = act_rows[act_row_of[l]];
+          const std::int64_t c = faults[l].pe.col;
+          activations[l] +=
+              static_cast<std::uint64_t>(c) *
+                  static_cast<std::uint64_t>(group.force(0) != 0) +
+              group.mismatch[static_cast<std::size_t>(steps - c)];
+        }
+
         step0 += steps;
         ++tile_index;
       }
@@ -339,7 +486,25 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
         const std::int64_t c = faults[l].pe.col;
         const std::int64_t rf = faults[l].pe.row;
         if (c >= ne) continue;
-        if (ws) {
+        if (faults[l].signal == MacSignal::kActForward) {
+          const ActForwardRow& group = act_rows[act_row_of[l]];
+          for (std::int64_t j = c + 1; j < ne; ++j) {
+            const auto col = static_cast<std::size_t>(j - group.lo - 1);
+            if (!ws) {
+              if (rf < me) results[l].output(m0 + rf, n0 + j) = group.acc[col];
+              continue;
+            }
+            const std::int32_t* cell =
+                group.acc.data() + col * static_cast<std::size_t>(me);
+            for (std::int64_t i = 0; i < me; ++i) {
+              if (transposed) {
+                results[l].output(n0 + j, m0 + i) = cell[i];
+              } else {
+                results[l].output(m0 + i, n0 + j) = cell[i];
+              }
+            }
+          }
+        } else if (ws) {
           for (std::int64_t i = 0; i < me; ++i) {
             const std::int32_t value =
                 acc_ws[l * static_cast<std::size_t>(me) +
@@ -362,11 +527,13 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
                                            << trace.steps()
                                            << " recorded steps");
 
-  // The batch engine's counter split, reproduced exactly (cone width 1).
+  // The batch engine's counter split, reproduced exactly: every recorded
+  // Step evaluates rows × cone-width PEs and skips the rest.
   const auto num_pes = static_cast<std::uint64_t>(array.num_pes());
   const auto total_steps = static_cast<std::uint64_t>(trace.steps());
-  const auto active = static_cast<std::uint64_t>(array.rows);
   for (std::size_t l = 0; l < results.size(); ++l) {
+    const auto active = static_cast<std::uint64_t>(array.rows) *
+                        static_cast<std::uint64_t>(cone_width[l]);
     results[l].pe_steps = total_steps * active;
     results[l].pe_steps_skipped = total_steps * (num_pes - active);
     results[l].fault_activations = activations[l];

@@ -88,9 +88,10 @@ class FiRunner {
   // FLARE-style short circuit; see fi/predicted.cc for the derivation).
   // Only provably-exact combinations are accepted: permanent stuck-at
   // faults on the three PE-local signals (kWeightOperand / kMulOut /
-  // kAdderOut) — the signals whose effect never crosses a forwarding chain.
-  // Everything else must go through RunFaultyBatch (the campaign layer's
-  // kPredicted rung routes the residue there automatically).
+  // kAdderOut) and on kActForward, whose forced activation only feeds
+  // wrapped MACs east of the fault. Everything else must go through
+  // RunFaultyBatch (the campaign layer's kPredicted rung routes the residue
+  // there automatically).
   //
   // Bit-identical to RunFaultyBatch in every RunResult field, including the
   // pe_steps / pe_steps_skipped split and fault_activations

@@ -284,7 +284,8 @@ bool GroupedCampaignEngine(CampaignEngine engine) {
 
 bool PredictedEngineExact(const CampaignConfig& config) {
   return config.kind == FaultKind::kStuckAt &&
-         PredictorCoversSignal(config.signal);
+         (PredictorCoversSignal(config.signal) ||
+          config.signal == MacSignal::kActForward);
 }
 
 bool SymmetryEligibleCampaign(const CampaignConfig& config) {

@@ -42,11 +42,12 @@ enum class CampaignEngine : std::uint8_t {
   kBatch = 3,
   // Algebraic short circuit (fi/predicted.cc): when the campaign's
   // (kind, signal) combination is provably exact — permanent stuck-at
-  // faults on the PE-local kWeightOperand / kMulOut / kAdderOut signals,
-  // see PredictedEngineExact — records are emitted from the closed-form
-  // corruption delta without stepping the array at all. Everything else
-  // (transients, forwarding signals) is residue and silently runs through
-  // the kBatch replay, so the engine is safe to request unconditionally.
+  // faults on the PE-local kWeightOperand / kMulOut / kAdderOut signals or
+  // on kActForward, see PredictedEngineExact — records are emitted from the
+  // closed-form corruption delta without stepping the array at all.
+  // Everything else (transients, kSouthForward) is residue and silently
+  // runs through the kBatch replay, so the engine is safe to request
+  // unconditionally.
   kPredicted = 4,
 };
 
@@ -119,7 +120,7 @@ bool GroupedCampaignEngine(CampaignEngine engine);
 
 // True when CampaignEngine::kPredicted can serve `config` in closed form:
 // permanent stuck-at campaigns on the PE-local kWeightOperand / kMulOut /
-// kAdderOut signals. False means the whole campaign is residue (a campaign's
+// kAdderOut signals or on kActForward. False means the whole campaign is residue (a campaign's
 // kind/signal are uniform across its experiments) and kPredicted runs it
 // through the kBatch replay instead.
 bool PredictedEngineExact(const CampaignConfig& config);

@@ -129,9 +129,17 @@ void NetworkSweepSpec::Validate() const {
                                      "cycle-accurate rung");
     }
   }
-  // Fault bit positions are validated per FaultSpec against the signal's
-  // width when each experiment's fault is built, outside the retry ladder,
-  // so an out-of-width bit aborts the sweep instead of quarantining it.
+  // Every (signal, bit) pair must fit the signal's width on this array, as
+  // in SweepSpec::Validate: a bad bit fails here, before any network is
+  // trained or prepared, not per experiment after it.
+  for (const MacSignal signal : signals) {
+    const int width = SignalWidth(signal, accel.array);
+    for (const int bit : bits) {
+      SAFFIRE_CHECK_MSG(bit >= 0 && bit < width,
+                        "bit " << bit << " outside " << ToString(signal)
+                               << " width " << width);
+    }
+  }
 }
 
 std::string NetworkSweepSpec::ToJson() const {

@@ -77,7 +77,8 @@ TEST(PredictedEngineNameTest, RoundTripsAndExtendsTheTable) {
 TEST(PredictedEngineExactTest, CoversPermanentPeLocalSignalsOnly) {
   auto config = BaseConfig();
   for (const MacSignal signal :
-       {MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut}) {
+       {MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut,
+        MacSignal::kActForward}) {
     config.signal = signal;
     config.kind = FaultKind::kStuckAt;
     EXPECT_TRUE(PredictedEngineExact(config)) << ToString(signal);
@@ -85,11 +86,8 @@ TEST(PredictedEngineExactTest, CoversPermanentPeLocalSignalsOnly) {
     EXPECT_FALSE(PredictedEngineExact(config)) << ToString(signal);
   }
   config.kind = FaultKind::kStuckAt;
-  for (const MacSignal signal :
-       {MacSignal::kActForward, MacSignal::kSouthForward}) {
-    config.signal = signal;
-    EXPECT_FALSE(PredictedEngineExact(config)) << ToString(signal);
-  }
+  config.signal = MacSignal::kSouthForward;
+  EXPECT_FALSE(PredictedEngineExact(config));
 }
 
 TEST(PredictedCampaignTest, RejectsBadLaneCounts) {
@@ -115,6 +113,7 @@ TEST(PredictedCampaignTest, MatrixMatchesBatchExactly) {
       {MacSignal::kWeightOperand, 0, 7},
       {MacSignal::kMulOut, 0, 15},
       {MacSignal::kAdderOut, 0, 31},
+      {MacSignal::kActForward, 0, 7},
   };
   for (const Dataflow dataflow :
        {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
@@ -147,30 +146,87 @@ TEST(PredictedCampaignTest, MatrixMatchesBatchExactly) {
 }
 
 // Workload shapes that stress the tiling: non-multiple edges (partial me /
-// ne / ke tiles) and a k that fits one reduction tile.
+// ne / ke tiles) and a k that fits one reduction tile. act_forward adds
+// the wide cone: east columns past a partial ne and fault rows past a
+// partial me or ke.
 TEST(PredictedCampaignTest, RaggedTilesMatchBatch) {
   struct Shape {
     std::int64_t m, k, n;
+  };
+  struct SignalBit {
+    MacSignal signal;
+    int bit;
   };
   for (const Shape shape : {Shape{13, 9, 11}, Shape{5, 8, 17}, Shape{3, 3, 3},
                             Shape{16, 16, 16}}) {
     for (const Dataflow dataflow :
          {Dataflow::kOutputStationary, Dataflow::kWeightStationary}) {
-      auto config = BaseConfig();
-      config.workload.name = "gemm-ragged";
-      config.workload.m = shape.m;
-      config.workload.k = shape.k;
-      config.workload.n = shape.n;
-      config.dataflow = dataflow;
-      config.signal = MacSignal::kMulOut;
-      config.bit = 13;
-      SCOPED_TRACE(config.ToString());
+      for (const SignalBit sb : {SignalBit{MacSignal::kMulOut, 13},
+                                 SignalBit{MacSignal::kActForward, 3}}) {
+        auto config = BaseConfig();
+        config.workload.name = "gemm-ragged";
+        config.workload.m = shape.m;
+        config.workload.k = shape.k;
+        config.workload.n = shape.n;
+        config.dataflow = dataflow;
+        config.signal = sb.signal;
+        config.bit = sb.bit;
+        SCOPED_TRACE(config.ToString());
 
-      config.engine = CampaignEngine::kBatch;
-      const CampaignResult batch = RunCampaignSerial(config);
-      config.engine = CampaignEngine::kPredicted;
-      const CampaignResult predicted = RunCampaignSerial(config);
-      ExpectSameRecords(batch, predicted);
+        config.engine = CampaignEngine::kBatch;
+        const CampaignResult batch = RunCampaignSerial(config);
+        config.engine = CampaignEngine::kPredicted;
+        const CampaignResult predicted = RunCampaignSerial(config);
+        ExpectSameRecords(batch, predicted);
+      }
+    }
+  }
+}
+
+// act_forward on data that varies per element (random and near-zero fills,
+// where stuck bits mask and unmask from wave to wave) and on non-square
+// arrays, where the east cone and the tiling change shape: predicted must
+// equal both batch and differential in every record field.
+TEST(PredictedCampaignTest, ActForwardRandomFillNonSquareMatchesBatch) {
+  struct Array {
+    std::int32_t rows, cols;
+  };
+  for (const Array shape : {Array{8, 4}, Array{4, 8}}) {
+    for (const OperandFill fill :
+         {OperandFill::kRandom, OperandFill::kNearZero}) {
+      for (const Dataflow dataflow :
+           {Dataflow::kOutputStationary, Dataflow::kWeightStationary,
+            Dataflow::kInputStationary}) {
+        for (const StuckPolarity polarity :
+             {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
+          auto config = BaseConfig();
+          config.accel.array.rows = shape.rows;
+          config.accel.array.cols = shape.cols;
+          config.workload.name = "gemm-13x9x11";
+          config.workload.m = 13;
+          config.workload.k = 9;
+          config.workload.n = 11;
+          config.workload.input_fill = fill;
+          config.workload.weight_fill = fill;
+          config.dataflow = dataflow;
+          config.polarity = polarity;
+          config.signal = MacSignal::kActForward;
+          config.bit = 6;
+          SCOPED_TRACE(config.ToString());
+          ASSERT_TRUE(PredictedEngineExact(config));
+
+          config.engine = CampaignEngine::kBatch;
+          const CampaignResult batch = RunCampaignSerial(config);
+          config.engine = CampaignEngine::kDifferential;
+          const CampaignResult differential = RunCampaignSerial(config);
+          config.engine = CampaignEngine::kPredicted;
+          const CampaignResult predicted = RunCampaignSerial(config);
+          ExpectSameRecords(batch, predicted);
+          ExpectSameRecords(differential, predicted);
+          EXPECT_EQ(predicted.lanes_filled, 0u);
+          EXPECT_EQ(predicted.batches_run, 0u);
+        }
+      }
     }
   }
 }
@@ -192,11 +248,12 @@ TEST(PredictedCampaignTest, TransientResidueRunsOnBatch) {
   EXPECT_GE(predicted.batches_run, 1u);
 }
 
-// Forwarding-chain signals are residue too (their corruption crosses PE
-// boundaries, so no PE-local closed form exists).
+// The south-forwarding chain is residue too: a stuck partial sum (WS) or
+// streamed weight (OS) re-enters every MAC below it, so the closed form
+// does not cover it.
 TEST(PredictedCampaignTest, ForwardingSignalResidueRunsOnBatch) {
   auto config = BaseConfig();
-  config.signal = MacSignal::kActForward;
+  config.signal = MacSignal::kSouthForward;
   config.bit = 3;
   ASSERT_FALSE(PredictedEngineExact(config));
 

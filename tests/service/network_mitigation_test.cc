@@ -70,6 +70,7 @@ TEST(NetworkMitigationSpecTest, ValidateGatesPredictorPoliciesBySignal) {
   NetworkSweepSpec spec = ExtractionSpec();
   spec.rung = NetworkRung::kCycleAccurate;
   spec.signals = {MacSignal::kActForward};
+  spec.bits = {3};  // in act_forward's 8-bit width
   spec.mitigations = {MitigationPolicy::kNone};
   EXPECT_NO_THROW(spec.Validate());
   spec.mitigations = {MitigationPolicy::kColumnRemap};

@@ -102,6 +102,7 @@ TEST(NetworkSweepSpecTest, ValidateRejectsOutOfRangeLayerScopes) {
 TEST(NetworkSweepSpecTest, ValidateRejectsForwardingSignalsOnAppFiRung) {
   NetworkSweepSpec spec = BaseSpec();
   spec.signals = {MacSignal::kActForward};
+  spec.bits = {3};  // in act_forward's 8-bit width
   spec.rung = NetworkRung::kAppFi;
   try {
     spec.Validate();
@@ -122,6 +123,30 @@ TEST(NetworkSweepSpecTest, ValidateRejectsBadPerturbBit) {
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 }
 
+// Bit positions are checked against each signal's width at plan time, as
+// for operator sweeps, so a bad bit fails before any network is trained.
+TEST(NetworkSweepSpecTest, ValidateRejectsBitsOutsideSignalWidth) {
+  NetworkSweepSpec spec = BaseSpec();
+  spec.rung = NetworkRung::kCycleAccurate;
+  spec.signals = {MacSignal::kActForward};
+  spec.bits = {8};  // act_forward is input_bits (8) wide
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  EXPECT_THROW(BuildNetworkCampaignPlan(spec), std::invalid_argument);
+  spec.bits = {-1};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  spec.bits = {7};
+  EXPECT_NO_THROW(spec.Validate());
+
+  // One narrow signal among wide ones is enough to reject the sweep.
+  spec = BaseSpec();
+  spec.signals = {MacSignal::kAdderOut, MacSignal::kMulOut};
+  spec.bits = {4, 20};  // mul_out is product_bits (16) wide
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+  spec.bits = {64};
+  spec.signals = {MacSignal::kAdderOut};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+}
+
 TEST(NetworkSweepSpecTest, JsonRoundTrip) {
   NetworkSweepSpec spec = BaseSpec();
   spec.network.kind = NetworkKind::kMlp;
@@ -129,7 +154,7 @@ TEST(NetworkSweepSpecTest, JsonRoundTrip) {
   spec.dataflows = {Dataflow::kOutputStationary};
   spec.signals = {MacSignal::kMulOut, MacSignal::kAdderOut};
   spec.polarities = {StuckPolarity::kStuckAt0};
-  spec.bits = {4, 20};
+  spec.bits = {4, 12};
   spec.layers = {0, 1};
   spec.max_sites = 6;
   spec.seed = 99;

@@ -281,6 +281,41 @@ TEST_F(ResilienceTest, SelfCheckCrossValidatesBatchRecords) {
   ExpectIdentical(baseline.results().at(0), collector.results().at(0));
 }
 
+// A closed-form act_forward campaign whose self-checks all report a
+// mismatch still demotes down the ladder (predicted → batch →
+// differential), and the records it delivers are the undisturbed ones.
+TEST_F(ResilienceTest, ForcedMismatchDemotesClosedFormActForward) {
+  SweepSpec spec = BaseSpec();
+  spec.engine = CampaignEngine::kPredicted;
+  spec.signals = {MacSignal::kActForward};
+  spec.bits = {3};
+  spec.max_sites = 16;
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  ASSERT_TRUE(PredictedEngineExact(plan.campaigns.at(0)));
+
+  CollectorSink baseline;
+  CampaignExecutor::Shared().Run(plan, baseline);
+
+  chaos::ChaosSpec chaos_spec;
+  chaos_spec.selfcheck_lie_every = 1;
+  chaos::Install(chaos_spec);
+
+  CollectorSink collector;
+  RunOptions options;
+  options.max_parallelism = 1;
+  options.resilience = FastRetries();
+  options.resilience.selfcheck_rate = 1.0;
+  const SweepOutcome outcome =
+      CampaignExecutor::Shared().Run(plan, collector, options);
+
+  EXPECT_GE(outcome.selfcheck_mismatches, 1);
+  EXPECT_GE(outcome.fallbacks, 1);
+  EXPECT_EQ(outcome.quarantined, 0);
+  EXPECT_EQ(outcome.records, plan.total_experiments());
+  EXPECT_FALSE(outcome.ok());
+  ExpectIdentical(baseline.results().at(0), collector.results().at(0));
+}
+
 TEST_F(ResilienceTest, TimeoutsCountAndRetrySucceeds) {
   SweepSpec spec = BaseSpec();
   spec.max_sites = 8;
