@@ -267,10 +267,10 @@ void BM_BatchLaneKernel(benchmark::State& state) {
   std::uint64_t pe_steps = 0;
   const std::int64_t simd_before = SimdLanesStepped();
   for (auto _ : state) {
-    const std::vector<RunResult> results =
+    const std::vector<ConeResult> results =
         runner.RunFaultyBatch(workload, dataflow, faults, trace, golden);
     benchmark::DoNotOptimize(results.data());
-    for (const RunResult& result : results) pe_steps += result.pe_steps;
+    for (const ConeResult& result : results) pe_steps += result.pe_steps;
   }
   const std::int64_t simd_stepped = SimdLanesStepped() - simd_before;
   SetSimdMode(SimdMode::kAuto);
@@ -303,7 +303,7 @@ void BM_PredictedKernel(benchmark::State& state) {
       runner.RunGoldenRecorded(workload, dataflow, &trace);
   const std::vector<FaultSpec> faults = KernelFaults(wide);
   for (auto _ : state) {
-    const std::vector<RunResult> results =
+    const std::vector<ConeResult> results =
         runner.RunFaultyPredicted(workload, dataflow, faults, trace, golden);
     benchmark::DoNotOptimize(results.data());
   }

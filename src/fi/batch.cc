@@ -12,6 +12,7 @@
 // across reduction steps mirrors AccumulatorMem::WriteBlock's uint32
 // wrap-add bit-for-bit.
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,7 +38,7 @@ Dataflow LoweredDataflow(Dataflow dataflow) {
 
 }  // namespace
 
-std::vector<RunResult> FiRunner::RunFaultyBatch(
+std::vector<ConeResult> FiRunner::RunFaultyBatch(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
@@ -73,8 +74,6 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
   // Lower each fault into the lane representation the kernel consumes.
   std::vector<LaneFaultParams> lanes;
   lanes.reserve(faults.size());
-  std::vector<std::size_t> acc_base(faults.size(), 0);
-  std::size_t total_width = 0;
   std::optional<LaneGrid> lane_grid;
   {
     SAFFIRE_SPAN("fi.batch.pack");
@@ -100,35 +99,47 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
         lane.xor_mask = bit;
         lane.strike_cycle = fault.at_cycle;
       }
-      acc_base[lanes.size()] = total_width;
-      total_width += static_cast<std::size_t>(lane.cone.width());
       lanes.push_back(lane);
     }
     lane_grid.emplace(array, lanes);
   }
 
-  // Per-lane outputs start as the golden result: everything outside a
-  // lane's cone provably matches the fault-free run.
-  std::vector<RunResult> results(faults.size());
-  for (RunResult& result : results) {
-    result.output = golden.output;
-    result.cycles = golden.cycles;
+  // Each lane's result holds only its cone columns [lo, hi] of every column
+  // tile: nothing outside a lane's cone can differ from the golden run.
+  // tile_line0[l · n_tiles + ni] is where lane l's column lo of tile ni
+  // starts in the shared pool; a line holds all m rows, accumulated across
+  // reduction tiles in place.
+  const auto n_tiles = static_cast<std::size_t>(grid.n_tiles());
+  const auto line_len = static_cast<std::size_t>(m);
+  std::vector<ConeResult> results(faults.size());
+  std::vector<std::size_t> tile_line0(lanes.size() * n_tiles, 0);
+  std::size_t pool_size = 0;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    results[l].lines_are_rows = transposed;
+    results[l].cycles = golden.cycles;
+    for (std::size_t ni = 0; ni < n_tiles; ++ni) {
+      const auto tile = static_cast<std::int64_t>(ni);
+      tile_line0[l * n_tiles + ni] = pool_size;
+      const std::int64_t hi =
+          std::min<std::int64_t>(lanes[l].cone.hi, grid.TileCols(tile) - 1);
+      for (std::int64_t c = lanes[l].cone.lo; c <= hi; ++c) {
+        results[l].lines.push_back({grid.ColStart(tile) + c, pool_size});
+        pool_size += line_len;
+      }
+    }
   }
+  auto pool = std::make_shared<std::vector<std::int32_t>>(pool_size);
 
   SAFFIRE_SPAN("fi.batch.replay");
   std::int64_t step0 = 0;
   std::int64_t tile_index = 0;
   std::vector<std::int64_t> rel_cycles;
-  // Per-(mi, ni) accumulator planes over each lane's cone columns,
-  // total_width × me, mirroring AccumulatorMem::WriteBlock across ki.
-  std::vector<std::int32_t> acc;
   for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
     const std::int64_t m0 = grid.RowStart(mi);
     const std::int64_t me = grid.TileRows(mi);
     for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
       const std::int64_t n0 = grid.ColStart(ni);
       const std::int64_t ne = grid.TileCols(ni);
-      acc.assign(total_width * static_cast<std::size_t>(me), 0);
       for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
         const std::int64_t k0 = grid.DepthStart(ki);
         const std::int64_t ke = grid.TileDepth(ki);
@@ -153,18 +164,22 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
         } else {
           lane_grid->RunTileOs(a_blk, b_blk, rel_cycles);
         }
+        // Fold the tile into the lanes' lines with the uint32 wrap-add of
+        // AccumulatorMem::WriteBlock across ki.
         for (std::size_t l = 0; l < lanes.size(); ++l) {
           const std::int64_t lo = lanes[l].cone.lo;
           const std::int64_t hi =
               std::min<std::int64_t>(lanes[l].cone.hi, ne - 1);
           for (std::int64_t c = lo; c <= hi; ++c) {
-            const std::size_t col_base =
-                (acc_base[l] + static_cast<std::size_t>(c - lo)) *
-                static_cast<std::size_t>(me);
+            std::int32_t* line =
+                pool->data() +
+                tile_line0[l * n_tiles + static_cast<std::size_t>(ni)] +
+                static_cast<std::size_t>(c - lo) * line_len +
+                static_cast<std::size_t>(m0);
             for (std::int64_t i = 0; i < me; ++i) {
               const auto value = static_cast<std::int32_t>(
                   lane_grid->OutputAt(l, i, static_cast<std::int32_t>(c)));
-              std::int32_t& cell = acc[col_base + static_cast<std::size_t>(i)];
+              std::int32_t& cell = line[i];
               cell = ki > 0 ? static_cast<std::int32_t>(
                                   static_cast<std::uint32_t>(cell) +
                                   static_cast<std::uint32_t>(value))
@@ -174,25 +189,6 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
         }
         step0 += steps;
         ++tile_index;
-      }
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        const std::int64_t lo = lanes[l].cone.lo;
-        const std::int64_t hi =
-            std::min<std::int64_t>(lanes[l].cone.hi, ne - 1);
-        for (std::int64_t c = lo; c <= hi; ++c) {
-          const std::size_t col_base =
-              (acc_base[l] + static_cast<std::size_t>(c - lo)) *
-              static_cast<std::size_t>(me);
-          for (std::int64_t i = 0; i < me; ++i) {
-            const std::int32_t value =
-                acc[col_base + static_cast<std::size_t>(i)];
-            if (transposed) {
-              results[l].output(n0 + c, m0 + i) = value;
-            } else {
-              results[l].output(m0 + i, n0 + c) = value;
-            }
-          }
-        }
       }
     }
   }
@@ -211,6 +207,7 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
     results[l].pe_steps = total_steps * active;
     results[l].pe_steps_skipped = total_steps * (num_pes - active);
     results[l].fault_activations = lane_grid->activations(l);
+    results[l].values = pool;
   }
   return results;
 }

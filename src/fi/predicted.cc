@@ -97,10 +97,9 @@ struct ActForwardRow {
   std::int64_t row = 0;
   ForceSpec force;
   std::int64_t lo = 0;  // westmost member column; columns j > lo are tracked
-  // Per-(mi, ni) faulty outputs of column j < ne at index
-  // (j − lo − 1) · me + i (WS) or j − lo − 1 (OS, row `row` only),
-  // accumulated across ki.
-  std::vector<std::int32_t> acc;
+  // Per column tile: where the group's line of column lo + 1 starts in the
+  // pool; column j < ne follows at (j − lo − 1) line lengths further.
+  std::vector<std::size_t> tile_line0;
   // Per tile: mismatch[s] counts the stimulus steps s' < s of this row at
   // which force(x) != x.
   std::vector<std::uint64_t> mismatch;
@@ -119,7 +118,7 @@ inline std::int32_t Accumulate(std::int32_t cell, std::int64_t faulty_wide,
 
 }  // namespace
 
-std::vector<RunResult> FiRunner::RunFaultyPredicted(
+std::vector<ConeResult> FiRunner::RunFaultyPredicted(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
@@ -202,11 +201,83 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
     act_row_of[l] = static_cast<std::size_t>(it - act_rows.begin());
   }
 
-  std::vector<RunResult> results(faults.size());
-  for (RunResult& result : results) {
-    result.output = golden.output;
-    result.cycles = golden.cycles;
+  // Cone-sparse results over one shared pool of lines, each holding all m
+  // rows of one column of one column tile, accumulated across reduction
+  // tiles in place. A PE-local fault owns its own column's line in every
+  // tile it fits (tile_line0[l · n_tiles + ni]); an act_forward group owns
+  // the lines east of its westmost member, and each member reports the
+  // suffix east of its own column. Output-stationary faults rewrite one
+  // row of each line per tile, so every line starts as the golden column.
+  const auto n_tiles = static_cast<std::size_t>(grid.n_tiles());
+  const auto line_len = static_cast<std::size_t>(m);
+  std::vector<OutputLine> pool_lines;
+  const auto add_line = [&](std::int64_t index) {
+    pool_lines.push_back({index, pool_lines.size() * line_len});
+    return pool_lines.back();
+  };
+  std::vector<ConeResult> results(faults.size());
+  std::vector<std::size_t> tile_line0(faults.size() * n_tiles, 0);
+  for (std::size_t l = 0; l < faults.size(); ++l) {
+    results[l].lines_are_rows = transposed;
+    results[l].cycles = golden.cycles;
+    if (faults[l].signal == MacSignal::kActForward) continue;
+    for (std::size_t ni = 0; ni < n_tiles; ++ni) {
+      const auto tile = static_cast<std::int64_t>(ni);
+      if (faults[l].pe.col >= grid.TileCols(tile)) continue;
+      results[l].lines.push_back(
+          add_line(grid.ColStart(tile) + faults[l].pe.col));
+      tile_line0[l * n_tiles + ni] = results[l].lines.back().offset;
+    }
   }
+  for (ActForwardRow& group : act_rows) {
+    group.tile_line0.resize(n_tiles);
+    for (std::size_t ni = 0; ni < n_tiles; ++ni) {
+      const auto tile = static_cast<std::int64_t>(ni);
+      group.tile_line0[ni] = pool_lines.size() * line_len;
+      for (std::int64_t j = group.lo + 1; j < grid.TileCols(tile); ++j) {
+        add_line(grid.ColStart(tile) + j);
+      }
+    }
+  }
+  for (std::size_t l = 0; l < faults.size(); ++l) {
+    if (faults[l].signal != MacSignal::kActForward) continue;
+    const ActForwardRow& group = act_rows[act_row_of[l]];
+    for (std::size_t ni = 0; ni < n_tiles; ++ni) {
+      const auto tile = static_cast<std::int64_t>(ni);
+      for (std::int64_t j = faults[l].pe.col + 1; j < grid.TileCols(tile);
+           ++j) {
+        results[l].lines.push_back(
+            {grid.ColStart(tile) + j,
+             group.tile_line0[ni] +
+                 static_cast<std::size_t>(j - group.lo - 1) * line_len});
+      }
+    }
+  }
+  auto pool =
+      std::make_shared<std::vector<std::int32_t>>(pool_lines.size() * line_len);
+  if (!ws) {
+    // Every line is a GEMM column here (OS is never transposed).
+    for (const OutputLine& line : pool_lines) {
+      for (std::int64_t r = 0; r < m; ++r) {
+        (*pool)[line.offset + static_cast<std::size_t>(r)] =
+            golden.output(r, line.index);
+      }
+    }
+  }
+  // The first cell of block (mi, ni), row m0, on a PE-local fault's line in
+  // column tile ni, or on a group's line of column j there.
+  const auto local_line = [&](std::size_t l, std::int64_t ni,
+                              std::int64_t m0) {
+    return pool->data() +
+           tile_line0[l * n_tiles + static_cast<std::size_t>(ni)] +
+           static_cast<std::size_t>(m0);
+  };
+  const auto group_line = [&](const ActForwardRow& group, std::int64_t ni,
+                              std::int64_t j, std::int64_t m0) {
+    return pool->data() + group.tile_line0[static_cast<std::size_t>(ni)] +
+           static_cast<std::size_t>(j - group.lo - 1) * line_len +
+           static_cast<std::size_t>(m0);
+  };
 
   SAFFIRE_SPAN("fi.predict.closed_form");
   const int sx_in = 64 - array.input_bits;
@@ -216,10 +287,9 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
 
   std::int64_t step0 = 0;
   std::int64_t tile_index = 0;
-  // Per-(mi, ni) accumulation across ki: WS tracks the fault column's me
-  // values per fault, OS the single owned cell.
-  std::vector<std::int32_t> acc_ws;
-  std::vector<std::int32_t> acc_os;
+  // Where a WS fault outside the column tile accumulates: its activations
+  // still count, but it has no line there.
+  std::vector<std::int32_t> discard;
   // Per-tile golden partial-sum chains, one per fault column, shared by
   // every fault in that column (g[r * me + i]); rebuilt lazily per tile.
   std::vector<std::vector<std::int64_t>> col_chain(
@@ -235,13 +305,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
     for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
       const std::int64_t n0 = grid.ColStart(ni);
       const std::int64_t ne = grid.TileCols(ni);
-      acc_ws.assign(ws ? faults.size() * static_cast<std::size_t>(me) : 0, 0);
-      acc_os.assign(ws ? 0 : faults.size(), 0);
-      for (ActForwardRow& group : act_rows) {
-        const auto width = static_cast<std::size_t>(
-            std::max<std::int64_t>(ne - group.lo - 1, 0));
-        group.acc.assign(ws ? width * static_cast<std::size_t>(me) : width, 0);
-      }
+      discard.resize(static_cast<std::size_t>(me));
       for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
         const std::int64_t k0 = grid.DepthStart(ki);
         const std::int64_t ke = grid.TileDepth(ki);
@@ -301,7 +365,8 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
             const std::int64_t* g_out =
                 chain + static_cast<std::size_t>((rows - 1) * me);
 
-            std::int32_t* cell = acc_ws.data() + l * static_cast<std::size_t>(me);
+            std::int32_t* cell =
+                c < ne ? local_line(l, ni, m0) : discard.data();
             std::uint64_t activ = 0;
             switch (fault.signal) {
               case MacSignal::kWeightOperand: {
@@ -393,7 +458,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
             }
             activations[l] += activ;
             if (rf < me && in_col) {
-              std::int32_t& cell = acc_os[l];
+              std::int32_t& cell = local_line(l, ni, m0)[rf];
               const auto value = static_cast<std::int32_t>(acc);
               cell = ki > 0 ? static_cast<std::int32_t>(
                                   static_cast<std::uint32_t>(cell) +
@@ -439,9 +504,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
               const std::int64_t w = rf < ke ? SxWide(b_blk(rf, j), sx_in) : 0;
               const std::int64_t* g_out =
                   golden_chain(j) + static_cast<std::size_t>((rows - 1) * me);
-              std::int32_t* cell =
-                  group.acc.data() +
-                  static_cast<std::size_t>((j - group.lo - 1) * me);
+              std::int32_t* cell = group_line(group, ni, j, m0);
               for (std::int64_t i = 0; i < me; ++i) {
                 const auto x = static_cast<std::size_t>(i);
                 const std::int64_t d = SxWide(row_forced[x] * w, sx_prod) -
@@ -459,8 +522,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
                                  sx_prod),
                     sx_acc);
               }
-              std::int32_t& cell =
-                  group.acc[static_cast<std::size_t>(j - group.lo - 1)];
+              std::int32_t& cell = group_line(group, ni, j, m0)[rf];
               cell = Accumulate(cell, acc, ki, sx_acc);
             }
           }
@@ -480,45 +542,6 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
         step0 += steps;
         ++tile_index;
       }
-
-      // Write the accumulated faulty values back, as fi/batch.cc does.
-      for (std::size_t l = 0; l < faults.size(); ++l) {
-        const std::int64_t c = faults[l].pe.col;
-        const std::int64_t rf = faults[l].pe.row;
-        if (c >= ne) continue;
-        if (faults[l].signal == MacSignal::kActForward) {
-          const ActForwardRow& group = act_rows[act_row_of[l]];
-          for (std::int64_t j = c + 1; j < ne; ++j) {
-            const auto col = static_cast<std::size_t>(j - group.lo - 1);
-            if (!ws) {
-              if (rf < me) results[l].output(m0 + rf, n0 + j) = group.acc[col];
-              continue;
-            }
-            const std::int32_t* cell =
-                group.acc.data() + col * static_cast<std::size_t>(me);
-            for (std::int64_t i = 0; i < me; ++i) {
-              if (transposed) {
-                results[l].output(n0 + j, m0 + i) = cell[i];
-              } else {
-                results[l].output(m0 + i, n0 + j) = cell[i];
-              }
-            }
-          }
-        } else if (ws) {
-          for (std::int64_t i = 0; i < me; ++i) {
-            const std::int32_t value =
-                acc_ws[l * static_cast<std::size_t>(me) +
-                       static_cast<std::size_t>(i)];
-            if (transposed) {
-              results[l].output(n0 + c, m0 + i) = value;
-            } else {
-              results[l].output(m0 + i, n0 + c) = value;
-            }
-          }
-        } else if (rf < me) {
-          results[l].output(m0 + rf, n0 + c) = acc_os[l];
-        }
-      }
     }
   }
   SAFFIRE_CHECK_MSG(step0 == trace.steps() &&
@@ -537,6 +560,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
     results[l].pe_steps = total_steps * active;
     results[l].pe_steps_skipped = total_steps * (num_pes - active);
     results[l].fault_activations = activations[l];
+    results[l].values = pool;
   }
   return results;
 }

@@ -1,5 +1,6 @@
 #include "fi/runner.h"
 
+#include "common/check.h"
 #include "fi/cone.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,6 +17,29 @@ Dataflow LoweredDataflow(Dataflow dataflow) {
 }
 
 }  // namespace
+
+Int32Tensor ConeResult::Expand(const Int32Tensor& golden) const {
+  SAFFIRE_CHECK_MSG(golden.rank() == 2, "golden " << golden.ShapeString());
+  Int32Tensor output = golden;
+  const std::int64_t length = golden.dim(lines_are_rows ? 1 : 0);
+  for (const OutputLine& line : lines) {
+    SAFFIRE_CHECK_MSG(line.index >= 0 &&
+                          line.index < golden.dim(lines_are_rows ? 0 : 1) &&
+                          line.offset + static_cast<std::size_t>(length) <=
+                              values->size(),
+                      "line " << line.index << " outside "
+                              << golden.ShapeString());
+    const std::int32_t* value = values->data() + line.offset;
+    for (std::int64_t x = 0; x < length; ++x) {
+      if (lines_are_rows) {
+        output(line.index, x) = value[x];
+      } else {
+        output(x, line.index) = value[x];
+      }
+    }
+  }
+  return output;
+}
 
 RunResult FiRunner::RunGolden(const WorkloadSpec& workload,
                               Dataflow dataflow) {

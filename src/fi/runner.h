@@ -4,6 +4,8 @@
 // output of the systolic array with and without FI").
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,6 +31,35 @@ struct RunResult {
   // Times the injected fault actually changed a signal value (0 for golden
   // runs; 0 in a faulty run means the fault was electrically masked).
   std::uint64_t fault_activations = 0;
+};
+
+// One line of a cone-sparse result: an output column, or an output row for
+// ConeResult::lines_are_rows, and where its values start in the pool.
+struct OutputLine {
+  std::int64_t index = 0;
+  std::size_t offset = 0;
+};
+
+// A grouped engine's result for one fault: the faulty values of only the
+// output lines its fault cone reaches; every other output element equals
+// the golden output. Lines are the physical array columns the cone covers
+// in each column tile (GEMM columns n0 + c), which input-stationary runs
+// store transposed, as output rows.
+struct ConeResult {
+  bool lines_are_rows = false;
+  std::vector<OutputLine> lines;  // ascending index
+  // Line values, one contiguous run per line: the output's row count for
+  // columns, its column count for rows. Shared by all results of one
+  // grouped call, and by the act_forward faults of one row and forcing.
+  std::shared_ptr<const std::vector<std::int32_t>> values;
+  // As in RunResult.
+  std::int64_t cycles = 0;
+  std::uint64_t pe_steps = 0;
+  std::uint64_t pe_steps_skipped = 0;
+  std::uint64_t fault_activations = 0;
+
+  // The dense output: `golden` with the cone lines written over it.
+  Int32Tensor Expand(const Int32Tensor& golden) const;
 };
 
 class FiRunner {
@@ -72,15 +103,21 @@ class FiRunner {
   // *relative* strike offsets into the recorded run (the convention
   // PlanFaults samples in), not absolute simulator cycles.
   //
+  // Each result is cone-sparse: it holds only the output lines in the
+  // fault's cone (fi/cone.h), since nothing outside the cone can differ
+  // from `golden`, so its cost scales with the cone, not the output. All
+  // results of one call share one value pool.
+  //
   // A pure replay: accelerator state and counters are untouched. Each
-  // result is bit-identical to RunFaultyDifferential on the same fault —
-  // including the pe_steps / pe_steps_skipped split, cycles (= golden), and
-  // fault_activations (tests/fi/batch_test.cc).
-  std::vector<RunResult> RunFaultyBatch(const WorkloadSpec& workload,
-                                        Dataflow dataflow,
-                                        std::span<const FaultSpec> faults,
-                                        const GoldenTrace& trace,
-                                        const RunResult& golden);
+  // result, expanded against `golden`, is bit-identical to
+  // RunFaultyDifferential on the same fault — including the pe_steps /
+  // pe_steps_skipped split, cycles (= golden), and fault_activations
+  // (tests/fi/batch_test.cc).
+  std::vector<ConeResult> RunFaultyBatch(const WorkloadSpec& workload,
+                                         Dataflow dataflow,
+                                         std::span<const FaultSpec> faults,
+                                         const GoldenTrace& trace,
+                                         const RunResult& golden);
 
   // Closed-form faulty execution: emits the same per-fault results as
   // RunFaultyBatch without stepping the array at all, by propagating each
@@ -93,14 +130,20 @@ class FiRunner {
   // RunFaultyBatch (the campaign layer's kPredicted rung routes the residue
   // there automatically).
   //
-  // Bit-identical to RunFaultyBatch in every RunResult field, including the
-  // pe_steps / pe_steps_skipped split and fault_activations
-  // (tests/patterns/campaign_predicted_test.cc).
-  std::vector<RunResult> RunFaultyPredicted(const WorkloadSpec& workload,
-                                            Dataflow dataflow,
-                                            std::span<const FaultSpec> faults,
-                                            const GoldenTrace& trace,
-                                            const RunResult& golden);
+  // Cone-sparse like RunFaultyBatch, with tighter lines: a PE-local fault
+  // reports its own column in each column tile, an act_forward fault the
+  // columns east of its own (its own column stays golden). The act_forward
+  // faults of one row and forcing share those lines' values.
+  //
+  // Expanded against `golden`, bit-identical to RunFaultyBatch in every
+  // field, including the pe_steps / pe_steps_skipped split and
+  // fault_activations (tests/fi/batch_test.cc,
+  // tests/patterns/campaign_predicted_test.cc).
+  std::vector<ConeResult> RunFaultyPredicted(const WorkloadSpec& workload,
+                                             Dataflow dataflow,
+                                             std::span<const FaultSpec> faults,
+                                             const GoldenTrace& trace,
+                                             const RunResult& golden);
 
   Accelerator& accel() { return accel_; }
   Driver& driver() { return driver_; }

@@ -1,6 +1,7 @@
 #include "patterns/campaign.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <iterator>
 #include <set>
 #include <span>
@@ -149,31 +150,89 @@ void ConfigureEngine(FiRunner& runner, CampaignEngine engine) {
                                                   CampaignEngine::kReference);
 }
 
-// Turns one faulty run into its record — the engine-independent half of an
-// experiment, shared by the per-experiment and batched paths. `fault` is
-// the campaign's pre-sampled spec (relative strike offset for transients).
+// The one record builder: turns the faulty values of some output lines
+// (every other element is golden) into a record, in one row-major pass over
+// the lines' cells against the golden output — the corrupted count, the
+// largest delta, the class, and the prediction comparison, without a
+// corruption map or a coordinate list. `fault` is the campaign's
+// pre-sampled spec (relative strike offset for transients).
+template <typename Result>
 ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
-                             const FaultSpec& fault, const RunResult& faulty) {
-  const CorruptionMap map =
-      ExtractCorruption(prepared.golden().output, faulty.output);
+                             const FaultSpec& fault, const Result& faulty,
+                             bool lines_are_rows,
+                             std::span<const OutputLine> lines,
+                             const std::int32_t* values) {
+  const Int32Tensor& golden = prepared.golden().output;
+  const std::int64_t rows = golden.dim(0);
+  const std::int64_t cols = golden.dim(1);
+  const std::int32_t* golden_data = golden.data().data();
+  const PredictedPattern* prediction =
+      prepared.predictions != nullptr
+          ? &prepared.predictions->Lookup(fault)
+          : nullptr;
+
+  PatternClassifier classifier(prepared.context);
+  std::int64_t max_abs_delta = 0;
+  // Merge walk against the predicted coordinates, which are sorted
+  // row-major too: `next` is the first not yet passed.
+  std::size_t next = 0;
+  std::size_t matched = 0;
+  bool within = true;
+  const auto visit = [&](std::int64_t row, std::int64_t col,
+                         std::int32_t value, std::int32_t expected) {
+    classifier.Add(row, col);
+    max_abs_delta = std::max(
+        max_abs_delta, std::abs(static_cast<std::int64_t>(value) -
+                                static_cast<std::int64_t>(expected)));
+    if (prediction == nullptr) return;
+    const std::vector<MatrixCoord>& coords = prediction->coords;
+    const MatrixCoord cell{row, col};
+    while (next < coords.size() && coords[next] < cell) ++next;
+    if (next < coords.size() && coords[next] == cell) {
+      ++matched;
+      ++next;
+    } else {
+      within = false;
+    }
+  };
+  if (lines_are_rows) {
+    for (const OutputLine& line : lines) {
+      const std::int32_t* value = values + line.offset;
+      const std::int32_t* expected =
+          golden_data + static_cast<std::size_t>(line.index * cols);
+      for (std::int64_t col = 0; col < cols; ++col) {
+        if (value[col] != expected[col]) {
+          visit(line.index, col, value[col], expected[col]);
+        }
+      }
+    }
+  } else {
+    for (std::int64_t row = 0; row < rows; ++row) {
+      const std::int32_t* expected =
+          golden_data + static_cast<std::size_t>(row * cols);
+      for (const OutputLine& line : lines) {
+        const std::int32_t value =
+            values[line.offset + static_cast<std::size_t>(row)];
+        if (value != expected[line.index]) {
+          visit(row, line.index, value, expected[line.index]);
+        }
+      }
+    }
+  }
 
   ExperimentRecord record;
   record.fault = fault;
-  record.observed = Classify(map, prepared.context);
-  record.corrupted_count = map.count();
-  record.max_abs_delta = map.max_abs_delta;
+  record.corrupted_count = classifier.count();
+  record.observed = classifier.Finish();
+  record.max_abs_delta = max_abs_delta;
   record.fault_activations = faulty.fault_activations;
   record.cycles = faulty.cycles;
   record.pe_steps = faulty.pe_steps;
   record.pe_steps_skipped = faulty.pe_steps_skipped;
-
-  if (prepared.predictions != nullptr) {
-    const PredictedPattern& prediction = prepared.predictions->Lookup(fault);
-    record.predicted = prediction.pattern;
-    record.prediction_exact = map.corrupted == prediction.coords;
-    record.observed_within_predicted =
-        std::includes(prediction.coords.begin(), prediction.coords.end(),
-                      map.corrupted.begin(), map.corrupted.end());
+  if (prediction != nullptr) {
+    record.predicted = prediction->pattern;
+    record.prediction_exact = within && matched == prediction->coords.size();
+    record.observed_within_predicted = within;
   } else {
     // No analytical model for this signal; record the observation only.
     record.predicted = PatternClass::kOther;
@@ -181,6 +240,30 @@ ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
     record.observed_within_predicted = false;
   }
   return record;
+}
+
+ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
+                             const FaultSpec& fault, const ConeResult& faulty) {
+  return BuildRecord(prepared, fault, faulty, faulty.lines_are_rows,
+                     faulty.lines, faulty.values->data());
+}
+
+// A dense result is the cone that reaches every output row.
+ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
+                             const FaultSpec& fault, const RunResult& faulty) {
+  SAFFIRE_CHECK_MSG(
+      faulty.output.shape() == prepared.golden().output.shape(),
+      "faulty output " << faulty.output.ShapeString() << " vs golden "
+                       << prepared.golden().output.ShapeString());
+  const std::int64_t rows = faulty.output.dim(0);
+  const auto cols = static_cast<std::size_t>(faulty.output.dim(1));
+  std::vector<OutputLine> lines(static_cast<std::size_t>(rows));
+  for (std::int64_t row = 0; row < rows; ++row) {
+    lines[static_cast<std::size_t>(row)] = {
+        row, static_cast<std::size_t>(row) * cols};
+  }
+  return BuildRecord(prepared, fault, faulty, /*lines_are_rows=*/true, lines,
+                     faulty.output.data().data());
 }
 
 // The replay/closed-form core of a grouped run: simulates `faults` as one
@@ -206,7 +289,7 @@ std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
   // The batch runner consumes the relative strike offsets directly (against
   // the trace's recorded per-step clocks), so no rebasing happens here.
   // Same convention under the closed form, which never strikes at all.
-  const std::vector<RunResult> faulty =
+  const std::vector<ConeResult> faulty =
       closed_form
           ? runner.RunFaultyPredicted(config.workload, config.dataflow,
                                       faults, *trace, prepared.golden())

@@ -1,6 +1,6 @@
 #include "patterns/classify.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "tensor/shift_gemm.h"
@@ -73,153 +73,106 @@ std::int64_t ColumnToChannel(std::int64_t col,
   return col;  // im2col: one column per output channel
 }
 
-namespace {
-
-// Sorted vector -> number of distinct values, in place. Classification runs
-// once per experiment record, so these paths avoid node-based containers:
-// sort + adjacent-unique over small vectors is several times cheaper than
-// building a std::set per call.
-template <typename T>
-std::int64_t CountDistinct(std::vector<T>& values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  return static_cast<std::int64_t>(values.size());
-}
-
-// Per-value run lengths of a sorted vector: (value, hits) pairs.
-struct Run {
-  std::int64_t value = 0;
-  std::int64_t hits = 0;
-};
-
-std::vector<Run> RunLengths(std::vector<std::int64_t>& values) {
-  std::sort(values.begin(), values.end());
-  std::vector<Run> runs;
-  for (std::size_t i = 0; i < values.size();) {
-    std::size_t j = i;
-    while (j < values.size() && values[j] == values[i]) ++j;
-    runs.push_back(Run{values[i], static_cast<std::int64_t>(j - i)});
-    i = j;
-  }
-  return runs;
-}
-
-// GEMM-space classification shared by both operation types.
-PatternClass ClassifyGemm(const CorruptionMap& map,
-                          const ClassifyContext& context) {
-  std::vector<MatrixCoord> tiles;
-  std::vector<MatrixCoord> offsets;
-  tiles.reserve(map.corrupted.size());
-  offsets.reserve(map.corrupted.size());
-  std::vector<std::int64_t> cols;
-  std::vector<std::int64_t> rows_hit;
-  cols.reserve(map.corrupted.size());
-  rows_hit.reserve(map.corrupted.size());
-  for (const MatrixCoord& coord : map.corrupted) {
-    tiles.push_back(MatrixCoord{coord.row / context.tile_rows,
-                                coord.col / context.tile_cols});
-    offsets.push_back(MatrixCoord{coord.row % context.tile_rows,
-                                  coord.col % context.tile_cols});
-    cols.push_back(coord.col);
-    rows_hit.push_back(coord.row);
-  }
-  const std::int64_t distinct_tiles = CountDistinct(tiles);
-  const std::int64_t distinct_offsets = CountDistinct(offsets);
-
-  // Single element, possibly replicated once per tile at the same offset.
-  if (distinct_offsets == 1 && map.count() == distinct_tiles) {
-    return distinct_tiles == 1 ? PatternClass::kSingleElement
-                               : PatternClass::kSingleElementMultiTile;
-  }
-
-  // Fully corrupted columns sharing one within-tile column offset.
-  const std::vector<Run> col_runs = RunLengths(cols);
-  bool all_columns_full = true;
-  bool one_col_offset = true;
-  std::int64_t col_offset = -1;
-  for (const Run& run : col_runs) {
-    if (run.hits != map.rows) {
-      all_columns_full = false;
-      break;
-    }
-    const std::int64_t offset = run.value % context.tile_cols;
-    if (col_offset < 0) {
-      col_offset = offset;
-    } else if (offset != col_offset) {
-      one_col_offset = false;
-    }
-  }
-  if (all_columns_full &&
-      map.count() ==
-          map.rows * static_cast<std::int64_t>(col_runs.size()) &&
-      one_col_offset) {
-    return distinct_tiles == 1 ? PatternClass::kSingleColumn
-                               : PatternClass::kSingleColumnMultiTile;
-  }
-
-  // Fully corrupted rows sharing one within-tile row offset.
-  const std::vector<Run> row_runs = RunLengths(rows_hit);
-  bool all_rows_full = true;
-  bool one_row_offset = true;
-  std::int64_t row_offset = -1;
-  for (const Run& run : row_runs) {
-    if (run.hits != map.cols) {
-      all_rows_full = false;
-      break;
-    }
-    const std::int64_t offset = run.value % context.tile_rows;
-    if (row_offset < 0) {
-      row_offset = offset;
-    } else if (offset != row_offset) {
-      one_row_offset = false;
-    }
-  }
-  if (all_rows_full &&
-      map.count() ==
-          map.cols * static_cast<std::int64_t>(row_runs.size()) &&
-      one_row_offset) {
-    return distinct_tiles == 1 ? PatternClass::kSingleRow
-                               : PatternClass::kSingleRowMultiTile;
-  }
-
-  return PatternClass::kOther;
-}
-
-}  // namespace
-
-PatternClass Classify(const CorruptionMap& map,
-                      const ClassifyContext& context) {
+PatternClassifier::PatternClassifier(const ClassifyContext& context)
+    : context_(context) {
   SAFFIRE_CHECK_MSG(context.rows > 0 && context.cols > 0 &&
                         context.tile_rows > 0 && context.tile_cols > 0,
                     "uninitialized ClassifyContext");
+  col_hits_.assign(static_cast<std::size_t>(context.cols), 0);
+}
+
+void PatternClassifier::Reject(std::int64_t row, std::int64_t col) const {
+  SAFFIRE_CHECK_MSG(false, "cell (" << row << ", " << col
+                                    << ") out of range or out of row-major "
+                                       "order after ("
+                                    << row_ << ", " << last_col_ << ")");
+}
+
+void PatternClassifier::NextRow(std::int64_t row, std::int64_t col) {
+  if (row < row_ || row >= context_.rows) Reject(row, col);
+  EndRow();
+  if (count_ == 0) first_row_ = row;
+  row_ = row;
+  row_hits_ = 0;
+  last_col_ = -1;
+}
+
+void PatternClassifier::EndRow() {
+  if (row_ < 0) return;
+  rows_full_ = rows_full_ && row_hits_ == context_.cols;
+  const std::int64_t offset = row_ % context_.tile_rows;
+  if (row_offset_ < 0) row_offset_ = offset;
+  one_row_offset_ = one_row_offset_ && offset == row_offset_;
+}
+
+PatternClass PatternClassifier::Finish() {
+  if (count_ == 0) return PatternClass::kMasked;
+  EndRow();
+  const std::int64_t last_row = row_;
+  row_ = context_.rows;  // no cell may follow
+
+  // The column half, once per column hit.
+  bool cols_full = true;
+  bool one_col_offset = true;
+  std::int64_t col_offset = -1;
+  std::int64_t min_col = -1;
+  std::int64_t max_col = -1;
+  for (std::int64_t col = 0; col < context_.cols; ++col) {
+    const std::int64_t hits = col_hits_[static_cast<std::size_t>(col)];
+    if (hits == 0) continue;
+    cols_full = cols_full && hits == context_.rows;
+    const std::int64_t offset = col % context_.tile_cols;
+    if (col_offset < 0) col_offset = offset;
+    one_col_offset = one_col_offset && offset == col_offset;
+    if (min_col < 0) min_col = col;
+    max_col = col;
+  }
+
+  if (context_.op == OpType::kConv && cols_full) {
+    // Every corrupted column fully corrupted: whole output channels are
+    // affected. (A partially corrupted column cannot be a channel pattern
+    // and falls through to the generic rules.)
+    std::int64_t channel = -1;
+    for (std::int64_t col = min_col; col <= max_col; ++col) {
+      if (col_hits_[static_cast<std::size_t>(col)] == 0) continue;
+      const std::int64_t c = ColumnToChannel(col, context_);
+      if (channel >= 0 && c != channel) return PatternClass::kMultiChannel;
+      channel = c;
+    }
+    return PatternClass::kSingleChannel;
+  }
+
+  const bool one_tile =
+      first_row_ / context_.tile_rows == last_row / context_.tile_rows &&
+      min_col / context_.tile_cols == max_col / context_.tile_cols;
+  // One element per tile, all at the same within-tile offset.
+  if (one_row_offset_ && one_col_offset) {
+    return count_ == 1 ? PatternClass::kSingleElement
+                       : PatternClass::kSingleElementMultiTile;
+  }
+  // Fully corrupted columns sharing one within-tile column offset.
+  if (cols_full && one_col_offset) {
+    return one_tile ? PatternClass::kSingleColumn
+                    : PatternClass::kSingleColumnMultiTile;
+  }
+  // Fully corrupted rows sharing one within-tile row offset.
+  if (rows_full_ && one_row_offset_) {
+    return one_tile ? PatternClass::kSingleRow
+                    : PatternClass::kSingleRowMultiTile;
+  }
+  return PatternClass::kOther;
+}
+
+PatternClass Classify(const CorruptionMap& map,
+                      const ClassifyContext& context) {
+  PatternClassifier classifier(context);
   SAFFIRE_CHECK_MSG(map.rows == context.rows && map.cols == context.cols,
                     "map " << map.rows << "x" << map.cols << " vs context "
                            << context.rows << "x" << context.cols);
-  if (map.empty()) return PatternClass::kMasked;
-
-  if (context.op == OpType::kConv) {
-    // Channel classification: every corrupted column fully corrupted →
-    // whole output channels are affected (a partially corrupted column
-    // cannot be a channel pattern and falls through to the generic rules).
-    std::vector<std::int64_t> cols;
-    cols.reserve(map.corrupted.size());
-    for (const MatrixCoord& coord : map.corrupted) cols.push_back(coord.col);
-    bool all_full = true;
-    std::vector<std::int64_t> channels;
-    for (const Run& run : RunLengths(cols)) {
-      if (run.hits != map.rows) {
-        all_full = false;
-        break;
-      }
-      channels.push_back(ColumnToChannel(run.value, context));
-    }
-    if (all_full) {
-      return CountDistinct(channels) == 1 ? PatternClass::kSingleChannel
-                                          : PatternClass::kMultiChannel;
-    }
+  for (const MatrixCoord& coord : map.corrupted) {
+    classifier.Add(coord.row, coord.col);
   }
-
-  return ClassifyGemm(map, context);
+  return classifier.Finish();
 }
 
 }  // namespace saffire

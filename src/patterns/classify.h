@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "accel/driver.h"
 #include "fi/workload.h"
@@ -61,8 +62,56 @@ ClassifyContext MakeClassifyContext(const WorkloadSpec& workload,
 // Output channel fed by matrix column `col` under the context's lowering.
 std::int64_t ColumnToChannel(std::int64_t col, const ClassifyContext& context);
 
-// Classifies a corruption map. Deterministic and total: every map gets
-// exactly one class.
+// Classifies a corruption map in one linear pass. Deterministic and total:
+// every map gets exactly one class. `map.corrupted` must be strictly
+// increasing in row-major order, as ExtractCorruption leaves it; a map out
+// of that order throws std::invalid_argument.
 PatternClass Classify(const CorruptionMap& map, const ClassifyContext& context);
+
+// Classify over a stream of corrupted cells, for callers that find them
+// without building a map (the campaign record builder). Add every cell in
+// strictly increasing row-major order, then call Finish once.
+//
+// The classes only ask whether the cells share one within-tile offset, lie
+// in one tile, and fill whole rows or whole columns. Offsets and tiles are
+// products of a row part and a column part, so each question splits into
+// one about the rows hit and one about the columns hit: rows arrive as
+// runs (one division per row), columns as per-column hit counts (one
+// division per column at Finish).
+class PatternClassifier {
+ public:
+  explicit PatternClassifier(const ClassifyContext& context);
+
+  void Add(std::int64_t row, std::int64_t col) {
+    if (row != row_) NextRow(row, col);
+    if (col <= last_col_ || col >= context_.cols) [[unlikely]] {
+      Reject(row, col);
+    }
+    last_col_ = col;
+    ++row_hits_;
+    ++col_hits_[static_cast<std::size_t>(col)];
+    ++count_;
+  }
+
+  std::int64_t count() const { return count_; }
+
+  PatternClass Finish();
+
+ private:
+  void NextRow(std::int64_t row, std::int64_t col);
+  void EndRow();
+  [[noreturn]] void Reject(std::int64_t row, std::int64_t col) const;
+
+  const ClassifyContext& context_;
+  std::vector<std::int64_t> col_hits_;  // per output column
+  std::int64_t count_ = 0;
+  std::int64_t first_row_ = -1;
+  std::int64_t row_ = -1;  // the current row run
+  std::int64_t last_col_ = -1;  // its last cell's column
+  std::int64_t row_hits_ = 0;
+  bool rows_full_ = true;      // every finished run spans all columns
+  std::int64_t row_offset_ = -1;
+  bool one_row_offset_ = true;  // every finished run at row_offset_
+};
 
 }  // namespace saffire

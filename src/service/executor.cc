@@ -430,7 +430,6 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
       campaign.stage = CampaignState::Stage::kReplayOnly;
       campaign.info.golden_cycles = from->golden_cycles;
       campaign.info.golden_pe_steps = from->golden_pe_steps;
-      campaign.info.golden_cache_hit = from->golden_cache_hit;
       campaign.info.replayed = true;
       ++replay_only_campaigns;
     }

@@ -137,7 +137,6 @@ void JsonlRecordSink::OnCampaignBegin(const CampaignBeginInfo& info) {
       .Key("experiments").Int(info.total_experiments)
       .Key("golden_cycles").Int(info.golden_cycles)
       .Key("golden_pe_steps").Uint(info.golden_pe_steps)
-      .Key("golden_cache_hit").Bool(info.golden_cache_hit)
       .Key("config").String(info.config->ToString())
       .EndObject();
   WriteSealedLine(line.str(), /*flush=*/false);

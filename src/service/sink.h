@@ -32,6 +32,9 @@ struct CampaignBeginInfo {
   std::int64_t scheduled_experiments = 0;
   std::int64_t golden_cycles = 0;
   std::uint64_t golden_pe_steps = 0;
+  // Whether this process's GoldenRunCache already held the golden run
+  // (false for replayed campaigns). It depends on which worker got there
+  // first, so no persistent stream carries it.
   bool golden_cache_hit = false;
   // True when the campaign was satisfied entirely from a checkpoint (no
   // simulation happened; golden_* come from the checkpoint too).

@@ -1,13 +1,17 @@
 // Lane-parallel batched runs (FiRunner::RunFaultyBatch) must be
-// bit-for-bit identical to differential runs for every lane: same output,
-// cycles, fault activations, and the same pe_steps / pe_steps_skipped
-// split. Exercised over every MacSignal and dataflow, tiled workloads,
-// transient strikes, heterogeneous batches, and the W=1 degenerate batch.
+// bit-for-bit identical to differential runs for every lane: same output
+// (the cone-sparse result expanded against golden), cycles, fault
+// activations, and the same pe_steps / pe_steps_skipped split. Exercised
+// over every MacSignal and dataflow, tiled workloads, transient strikes,
+// heterogeneous batches, and the W=1 degenerate batch. Both grouped engines
+// (batch and the closed-form predicted engine) are also held against full
+// RunFaulty outputs on the multi-column-tile Table I workloads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "fi/cone.h"
 #include "fi/runner.h"
 
 namespace saffire {
@@ -50,7 +54,7 @@ void ExpectBatchMatchesDifferential(const AccelConfig& accel,
   const RunResult golden =
       batch_runner.RunGoldenRecorded(workload, dataflow, &trace);
 
-  const std::vector<RunResult> batch =
+  const std::vector<ConeResult> batch =
       batch_runner.RunFaultyBatch(workload, dataflow, faults, trace, golden);
   ASSERT_EQ(batch.size(), faults.size());
 
@@ -63,7 +67,7 @@ void ExpectBatchMatchesDifferential(const AccelConfig& accel,
     }
     const RunResult diff = diff_runner.RunFaultyDifferential(
         workload, dataflow, {&injected, 1}, trace);
-    ASSERT_EQ(batch[i].output, diff.output);
+    ASSERT_EQ(batch[i].Expand(golden.output), diff.output);
     ASSERT_EQ(batch[i].cycles, diff.cycles);
     ASSERT_EQ(batch[i].fault_activations, diff.fault_activations);
     ASSERT_EQ(batch[i].pe_steps, diff.pe_steps);
@@ -151,7 +155,7 @@ TEST(BatchRunTest, TransientRebasesOntoAdvancedClock) {
   fault.bit = 2;
   fault.at_cycle = 9;
   const std::vector<FaultSpec> faults{fault};
-  const std::vector<RunResult> batch = batch_runner.RunFaultyBatch(
+  const std::vector<ConeResult> batch = batch_runner.RunFaultyBatch(
       workload, Dataflow::kWeightStationary, faults, trace, golden);
 
   FiRunner diff_runner(accel);
@@ -161,7 +165,7 @@ TEST(BatchRunTest, TransientRebasesOntoAdvancedClock) {
   injected.at_cycle += diff_runner.accel().cycles();
   const RunResult diff = diff_runner.RunFaultyDifferential(
       workload, Dataflow::kWeightStationary, {&injected, 1}, trace);
-  EXPECT_EQ(batch.front().output, diff.output);
+  EXPECT_EQ(batch.front().Expand(golden.output), diff.output);
   EXPECT_EQ(batch.front().fault_activations, diff.fault_activations);
 }
 
@@ -213,6 +217,90 @@ TEST(BatchRunTest, SingleLaneBatchMatchesDifferential) {
       StuckAtAdder({4, 4}, 8, StuckPolarity::kStuckAt1)};
   ExpectBatchMatchesDifferential(accel, workload,
                                  Dataflow::kWeightStationary, faults);
+}
+
+// The Table I platform: a 16×16 array with room for whole GEMMs.
+AccelConfig PaperAccel() {
+  AccelConfig config;
+  config.max_compute_rows = 1024;
+  config.spad_rows = 2048;
+  config.acc_rows = 1024;
+  config.dram_bytes = 16 << 20;
+  return config;
+}
+
+// Both grouped engines on workloads with several column tiles (conv16k8's
+// 24 GEMM columns, gemm112's 112; under IS, 196 and 112 output rows): every
+// cone-sparse result, expanded against golden, equals the dense output of
+// a full faulty run, and only cone lines may appear in it. The predicted
+// engine takes the closed-form signals; the batch engine also takes
+// south_forward, whose cone is not closed-form. Random operands keep
+// value-level masking from hiding a wrong write-back.
+TEST(ConeResultTest, GroupedEnginesExpandToRunFaultyOnMultiTileWorkloads) {
+  const AccelConfig accel = PaperAccel();
+  for (WorkloadSpec workload : {Conv16Kernel3x3x3x8(), Gemm112x112()}) {
+    workload.input_fill = OperandFill::kRandom;
+    workload.weight_fill = OperandFill::kRandom;
+    for (const Dataflow dataflow :
+         {Dataflow::kWeightStationary, Dataflow::kOutputStationary,
+          Dataflow::kInputStationary}) {
+      SCOPED_TRACE(workload.ToString() + " " + ToString(dataflow));
+      GoldenTrace trace;
+      FiRunner runner(accel);
+      const RunResult golden =
+          runner.RunGoldenRecorded(workload, dataflow, &trace);
+      std::vector<FaultSpec> closed_form;
+      for (const MacSignal signal : {MacSignal::kAdderOut,
+                                     MacSignal::kActForward}) {
+        for (const PeCoord pe : {PeCoord{0, 0}, PeCoord{3, 9}, PeCoord{3, 2},
+                                 PeCoord{15, 15}, PeCoord{9, 7}}) {
+          FaultSpec fault;
+          fault.pe = pe;
+          fault.signal = signal;
+          fault.bit = signal == MacSignal::kActForward ? 6 : 12;
+          fault.polarity = pe.col % 2 == 0 ? StuckPolarity::kStuckAt1
+                                           : StuckPolarity::kStuckAt0;
+          closed_form.push_back(fault);
+        }
+      }
+      std::vector<FaultSpec> replayed = closed_form;
+      {
+        FaultSpec fault;
+        fault.pe = {5, 4};
+        fault.signal = MacSignal::kSouthForward;
+        fault.bit = 9;
+        replayed.push_back(fault);
+      }
+      const std::vector<ConeResult> predicted = runner.RunFaultyPredicted(
+          workload, dataflow, closed_form, trace, golden);
+      const std::vector<ConeResult> batch =
+          runner.RunFaultyBatch(workload, dataflow, replayed, trace, golden);
+      FiRunner full_runner(accel);
+      for (std::size_t i = 0; i < replayed.size(); ++i) {
+        SCOPED_TRACE(replayed[i].ToString());
+        const RunResult full =
+            full_runner.RunFaulty(workload, dataflow, {&replayed[i], 1});
+        const Dataflow lowered = dataflow == Dataflow::kOutputStationary
+                                     ? Dataflow::kOutputStationary
+                                     : Dataflow::kWeightStationary;
+        const ColumnCone cone =
+            FaultCone({&replayed[i], 1}, lowered, accel.array);
+        std::vector<const ConeResult*> results{&batch[i]};
+        if (i < predicted.size()) results.push_back(&predicted[i]);
+        for (const ConeResult* result : results) {
+          EXPECT_EQ(result->lines_are_rows,
+                    dataflow == Dataflow::kInputStationary);
+          for (const OutputLine& line : result->lines) {
+            const std::int64_t c = line.index % accel.array.cols;
+            EXPECT_TRUE(c >= cone.lo && c <= cone.hi) << "line " << line.index;
+          }
+          EXPECT_EQ(result->Expand(golden.output), full.output);
+          EXPECT_EQ(result->cycles, full.cycles);
+          EXPECT_EQ(result->fault_activations, full.fault_activations);
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchRunTest, RejectsEmptyBatchAndUnrebasedTransient) {

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/crc32.h"
 #include "service/executor.h"
 #include "service/sink.h"
 
@@ -221,6 +223,58 @@ TEST(CheckpointTest, CrcSealCatchesBitFlippedRecordLine) {
   for (std::size_t c = 0; c < fresh.results().size(); ++c) {
     ExpectIdentical(fresh.results()[c], resumed.results()[c]);
   }
+}
+
+// The same plan run twice in one process: the second run finds every golden
+// run already cached, and must still write the same bytes.
+TEST(CheckpointTest, RepeatedRunWritesByteIdenticalJsonl) {
+  SweepSpec spec = BaseSpec();
+  spec.max_sites = 4;
+  spec.dataflows = {Dataflow::kWeightStationary,
+                    Dataflow::kOutputStationary};
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  RunOptions options;
+  options.max_parallelism = 2;
+  const std::string first = RunToJsonl(plan, options);
+  const std::string second = RunToJsonl(plan, options);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first.find("golden_cache_hit"), std::string::npos);
+}
+
+// Streams written before the campaign line dropped "golden_cache_hit" still
+// load: the key is accepted and ignored.
+TEST(CheckpointTest, LoadsCampaignLinesWithLegacyGoldenCacheHit) {
+  SweepSpec spec = BaseSpec();
+  spec.max_sites = 4;
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  const std::string jsonl = RunToJsonl(plan);
+
+  // Re-seal the campaign line with the old key inserted, as it was written.
+  std::istringstream lines(jsonl);
+  std::string legacy;
+  std::string line;
+  int rewritten = 0;
+  while (std::getline(lines, line)) {
+    const std::size_t config = line.find(",\"config\":");
+    if (line.find("\"type\":\"campaign\"") != std::string::npos &&
+        config != std::string::npos) {
+      line.insert(config, ",\"golden_cache_hit\":true");
+      const std::string prefix = line.substr(0, line.rfind(",\"crc\":\""));
+      char crc[16];
+      std::snprintf(crc, sizeof(crc), "%08x", Crc32(prefix));
+      line = prefix + ",\"crc\":\"" + crc + "\"}";
+      ++rewritten;
+    }
+    legacy += line + "\n";
+  }
+  ASSERT_EQ(rewritten, 1);
+
+  std::istringstream in(legacy);
+  CheckpointLoadStats stats;
+  const SweepCheckpoint checkpoint = LoadSweepCheckpoint(in, &stats);
+  EXPECT_EQ(stats.dropped, 0);
+  ValidateCheckpoint(checkpoint, plan);
+  EXPECT_EQ(checkpoint.TotalRecords(), plan.total_experiments());
 }
 
 TEST(CheckpointTest, MergeRejectsConflictingRecords) {

@@ -62,7 +62,6 @@ class ResultCacheTest : public ::testing::Test {
     entry.total_experiments = static_cast<std::int64_t>(result.records.size());
     entry.golden_cycles = result.golden_cycles;
     entry.golden_pe_steps = result.golden_pe_steps;
-    entry.golden_cache_hit = result.golden_cache_hit;
     for (std::size_t i = 0; i < result.records.size(); ++i) {
       entry.records.emplace(static_cast<std::int64_t>(i), result.records[i]);
     }
